@@ -19,8 +19,6 @@ import urllib.parse
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import requests
-
 from .expand import KNOWLEDGE_SOURCES, ExpansionResult, RankedTermList, rewrite
 
 __all__ = [
@@ -285,6 +283,8 @@ class HttpEngineAdapter(EngineAdapter):
         self._transport = transport or self._http_get
 
     def _http_get(self, params: dict, headers: dict) -> dict:
+        import requests  # only live engines need it; fixture runs skip its import cost
+
         response = requests.get(self.endpoint, params=params, headers=headers, timeout=self.timeout)
         response.raise_for_status()
         return response.json()

@@ -7,14 +7,16 @@ Works in two modes behind one facade:
 * snapshot -- the same cache layout, pre-populated; zero network traffic.
   Selected by passing a snapshot directory or via ``WMS_SNAPSHOT_DIR``.
 
-Cache layout under the root directory::
+Cache layout under the root directory, addressed by the key itself::
 
-    index.json                 {"pages": {title: relpath}, "searches": {...}}
-    pages/<sha256[:24]>.json   one PageRecord per article title
-    searches/<sha256[:24]>.json  title list for one search string
+    pages/<sha256(title)[:24]>.json     one PageRecord per article title
+    searches/<sha256(query)[:24]>.json  title list for one search string
 
-Files are written atomically (temp file + rename), so a crashed crawl
-never leaves a torn record behind.
+A lookup computes the file name from its key, so there is no index (an
+``index.json`` left by older versions is ignored) and a write touches only
+its own record. Each record goes to a uniquely named temp file in its
+directory and is renamed into place, so a crashed crawl never leaves a torn
+record and concurrent writers never share a temp file.
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import secrets
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, asdict
 from html.parser import HTMLParser
 from pathlib import Path
-
-import requests
 
 from .graph import OntologyGraph, normalize_title
 from .text import default_stopwords, query_terms
@@ -116,55 +117,61 @@ def _hashed(name: str) -> str:
 
 
 def _write_atomic(path: Path, payload: dict) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=1), encoding="utf-8")
-    os.replace(tmp, path)
+    text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=1)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        # Mode "x" creates the temp file exclusively, with the umask-derived
+        # permissions a plain write would give (mkstemp would make it 0600).
+        with open(tmp, "x", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class PageCache:
-    """On-disk store of page records and search results, keyed by hash."""
+    """On-disk store of page records and search results, one file per key.
+
+    A missing file is a cache miss. A file that does not parse, or that
+    holds a different key, raises :class:`IngestError` naming the file.
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self._index_path = self.root / "index.json"
-        if self._index_path.exists():
-            self._index = json.loads(self._index_path.read_text(encoding="utf-8"))
-        else:
-            self._index = {"pages": {}, "searches": {}}
 
     def get_page(self, title: str) -> PageRecord | None:
-        rel = self._index["pages"].get(title)
-        if rel is None:
-            return None
-        data = json.loads((self.root / rel).read_text(encoding="utf-8"))
-        return PageRecord(**data)
+        return self._read("pages", "title", title, lambda data: PageRecord(**data))
 
     def put_page(self, record: PageRecord) -> None:
-        rel = f"pages/{_hashed(record.title)}"
-        path = self.root / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _write_atomic(path, asdict(record))
-        self._index["pages"][record.title] = rel
-        self._save_index()
+        self._write("pages", record.title, asdict(record))
 
     def get_search(self, query: str) -> list[str] | None:
-        rel = self._index["searches"].get(query)
-        if rel is None:
-            return None
-        data = json.loads((self.root / rel).read_text(encoding="utf-8"))
-        return list(data["results"])
+        return self._read("searches", "query", query, lambda data: list(data["results"]))
 
     def put_search(self, query: str, results: list[str]) -> None:
-        rel = f"searches/{_hashed(query)}"
-        path = self.root / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _write_atomic(path, {"query": query, "results": list(results)})
-        self._index["searches"][query] = rel
-        self._save_index()
+        self._write("searches", query, {"query": query, "results": list(results)})
 
-    def _save_index(self) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        _write_atomic(self._index_path, self._index)
+    def _read(self, kind: str, key_field: str, key: str, build):
+        path = os.path.join(self.root, kind, _hashed(key))  # os.path: cheaper than pathlib here
+        try:
+            with open(path, "rb") as handle:
+                data = json.loads(handle.read())
+        except FileNotFoundError:
+            return None
+        except ValueError as exc:  # invalid JSON or UTF-8
+            raise IngestError(f"malformed cache record {path}: {exc}") from None
+        if not isinstance(data, dict) or data.get(key_field) != key:
+            raise IngestError(f"cache record {path} does not hold the {key_field} {key!r}")
+        try:
+            return build(data)
+        except (KeyError, TypeError) as exc:
+            raise IngestError(f"malformed cache record {path}: {exc!r}") from None
+
+    def _write(self, kind: str, key: str, payload: dict) -> None:
+        directory = self.root / kind
+        directory.mkdir(parents=True, exist_ok=True)
+        _write_atomic(directory / _hashed(key), payload)
 
 
 class _ArticleLinkExtractor(HTMLParser):
@@ -239,6 +246,8 @@ class WikiClient:
         self.request_count = 0
 
     def _http_get(self, params: dict) -> dict:
+        import requests  # only live crawls need it; snapshot runs skip its import cost
+
         response = requests.get(
             self.api_url, params=params, headers={"User-Agent": USER_AGENT}, timeout=20
         )

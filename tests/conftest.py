@@ -1,5 +1,7 @@
-"""Shared test helpers: direct subgraph construction and random graphs."""
+"""Shared test helpers: direct subgraph construction, random graphs and
+the crawl-cache file name."""
 
+import hashlib
 import random
 
 import pytest
@@ -28,6 +30,11 @@ def make_subgraph(adjacency: dict[str, list[str]], root: str | None = None) -> C
     return ConceptSubgraph(
         root=root or nodes[0], nodes=tuple(nodes), edges=edges, adjacency=full
     )
+
+
+def hashed_name(key: str) -> str:
+    """The documented crawl-cache file name for a title or search string."""
+    return hashlib.sha256(key.encode("utf-8")).hexdigest()[:24] + ".json"
 
 
 def random_adjacency(rng: random.Random, n_nodes: int, edge_prob: float) -> dict[str, list[str]]:

@@ -1,15 +1,21 @@
 """End-to-end CLI runs against the shipped fixture bundle."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import hashed_name
 from wikiqe.cli import main
 from wikiqe.config import RunConfig, benchmark_queries, query_slug
 from wikiqe.ingest import PageCache, PageRecord
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 CONFIG = str(FIXTURES / "config.json")
 QUERY = "adolescent alcoholism"
 
@@ -77,6 +83,44 @@ def test_expand_shortfall_exit_code(tmp_path, capsys):
     )
     assert code == 2
     assert "warning" in out
+
+
+def test_stale_index_json_in_snapshot_is_ignored(tmp_path, capsys):
+    snapshot = tmp_path / "snapshot"
+    shutil.copytree(FIXTURES / "snapshot", snapshot)
+    out_dir = tmp_path / "out"
+    graph_file = out_dir / "adolescent_alcoholism.graph.txt"
+
+    def expand():
+        code, out, err = run_cli(
+            capsys, "expand", QUERY, "--config", CONFIG,
+            "--snapshot", str(snapshot), "--out", str(out_dir),
+        )
+        return code, out, err, graph_file.read_bytes()
+
+    plain = expand()
+    (snapshot / "index.json").write_text(
+        '{"pages": {"alcoholism": "pages/gone.json"}, "searches": {}}', encoding="utf-8"
+    )
+    assert expand() == plain
+    assert plain[0] == 0
+
+
+def test_snapshot_expand_does_not_import_requests(tmp_path):
+    script = (
+        "import sys\n"
+        "from wikiqe.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, 'requests' in sys.modules)\n"
+    )
+    pythonpath = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+    done = subprocess.run(
+        [sys.executable, "-c", script, "expand", QUERY, "--config", CONFIG, "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_expand_weights_flag_rejects_garbage(tmp_path, capsys):
@@ -259,6 +303,22 @@ def test_bench_skips_missing_fixture_and_continues(tmp_path, capsys):
     assert code == 0
     assert "zz-missing-snapshot-entry" in err
     assert len(out.splitlines()) == 2  # header + the one expandable query
+
+
+def test_bench_skips_only_queries_hit_by_a_truncated_cache_record(tmp_path, capsys):
+    snapshot = tmp_path / "snapshot"
+    shutil.copytree(FIXTURES / "snapshot", snapshot)
+    page = snapshot / "pages" / hashed_name("alcoholism")
+    page.write_text(page.read_text(encoding="utf-8")[:40], encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "bench", "--queries", str(FIXTURES / "queries.txt"), "--config", CONFIG,
+        "--snapshot", str(snapshot),
+    )
+    assert code == 0
+    skipped = err.splitlines()
+    assert any(line.startswith("skipping 'adolescent alcoholism'") for line in skipped)
+    assert all(str(page) in line for line in skipped)
+    assert len(out.splitlines()) == 1 + 30 - len(skipped)
 
 
 def test_bench_term_outputs_stable_across_runs(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Snapshot/cache behavior, the live client (stubbed transport), graph build."""
 
+import json
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+from conftest import hashed_name
 from wikiqe.ingest import (
     SNAPSHOT_ENV,
     CrawlConfig,
@@ -18,6 +21,11 @@ from wikiqe.ingest import (
 
 
 YOUTH = "alcohol consumption by youth in the united states"
+SNAPSHOT = Path(__file__).resolve().parent.parent / "fixtures" / "snapshot"
+
+
+def files_under(root):
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
 
 
 def make_snapshot(root, searches=None, pages=None, disambiguations=()):
@@ -51,7 +59,7 @@ def test_cache_page_round_trip(tmp_path):
     cache = PageCache(tmp_path)
     record = PageRecord("ethanol", ["alcohol (drug)"], 7.0, "live")
     cache.put_page(record)
-    reloaded = PageCache(tmp_path)  # fresh index read
+    reloaded = PageCache(tmp_path)  # a fresh cache object reads from disk
     assert asdict(reloaded.get_page("ethanol")) == asdict(record)
     assert reloaded.get_page("unknown") is None
 
@@ -60,6 +68,80 @@ def test_cache_search_round_trip(tmp_path):
     cache = PageCache(tmp_path)
     cache.put_search("adolescent alcoholism", ["alcoholism", YOUTH])
     assert PageCache(tmp_path).get_search("adolescent alcoholism") == ["alcoholism", YOUTH]
+
+
+def test_caches_sharing_a_directory_keep_each_others_entries(tmp_path):
+    first, second = PageCache(tmp_path), PageCache(tmp_path)
+    first.put_page(PageRecord("alpha", [], 1.0, "live"))
+    second.put_page(PageRecord("beta", [], 2.0, "live"))
+    first.put_search("a", ["alpha"])
+    second.put_search("b", ["beta"])
+    fresh = PageCache(tmp_path)
+    assert fresh.get_page("alpha").title == "alpha"
+    assert fresh.get_page("beta").title == "beta"
+    assert fresh.get_search("a") == ["alpha"]
+    assert fresh.get_search("b") == ["beta"]
+
+
+def test_cache_put_writes_only_its_own_record(tmp_path):
+    name = hashed_name("ethanol")
+    cache = PageCache(tmp_path)
+    cache.put_page(PageRecord("ethanol", ["alcohol (drug)"], 7.0, "live"))
+    assert files_under(tmp_path) == [f"pages/{name}"]
+    cache.put_search("ethanol", ["ethanol"])
+    cache.put_page(PageRecord("ethanol", ["alcohol"], 8.0, "live"))  # overwrite in place
+    assert files_under(tmp_path) == [f"pages/{name}", f"searches/{name}"]
+    assert PageCache(tmp_path).get_page("ethanol").outlinks == ["alcohol"]
+
+
+def test_cache_failed_write_leaves_no_temp_file(tmp_path):
+    (tmp_path / "pages" / hashed_name("ethanol")).mkdir(parents=True)
+    with pytest.raises(OSError):  # os.replace cannot put a file over a directory
+        PageCache(tmp_path).put_page(PageRecord("ethanol", [], 7.0, "live"))
+    assert files_under(tmp_path) == []
+
+
+@pytest.mark.parametrize("content, match", [
+    pytest.param(b'{"title": "ethanol", "outlinks": ["a"', "malformed cache record", id="truncated"),
+    pytest.param(b'{"title": "ethanol\xff"}', "malformed cache record", id="not-utf8"),
+    pytest.param(b'["ethanol"]', "does not hold the title 'ethanol'", id="not-an-object"),
+    pytest.param(json.dumps(asdict(PageRecord("methanol", [], 0.0, "live"))).encode(),
+                 "does not hold the title 'ethanol'", id="other-title"),
+    pytest.param(b'{"title": "ethanol"}', "malformed cache record", id="missing-fields"),
+])
+def test_cache_malformed_page_raises_ingest_error_naming_file(tmp_path, content, match):
+    cache = PageCache(tmp_path)
+    cache.put_page(PageRecord("ethanol", ["a"], 7.0, "live"))
+    path = next((tmp_path / "pages").iterdir())
+    path.write_bytes(content)
+    with pytest.raises(IngestError, match=match) as caught:
+        cache.get_page("ethanol")
+    assert str(path) in str(caught.value)
+
+
+def test_cache_malformed_search_raises_ingest_error_naming_file(tmp_path):
+    cache = PageCache(tmp_path)
+    cache.put_search("ethanol", ["ethanol"])
+    path = next((tmp_path / "searches").iterdir())
+    path.write_text('{"query": "ethanol"}', encoding="utf-8")
+    with pytest.raises(IngestError, match="malformed cache record") as caught:
+        cache.get_search("ethanol")
+    assert str(path) in str(caught.value)
+
+
+def test_every_fixture_record_resolves_through_its_hashed_path():
+    cache = PageCache(SNAPSHOT)
+    pages = sorted((SNAPSHOT / "pages").iterdir())
+    searches = sorted((SNAPSHOT / "searches").iterdir())
+    assert len(pages) == 75 and len(searches) == 10
+    for path in pages:
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        assert path.name == hashed_name(stored["title"])
+        assert asdict(cache.get_page(stored["title"])) == stored
+    for path in searches:
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        assert path.name == hashed_name(stored["query"])
+        assert cache.get_search(stored["query"]) == stored["results"]
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +171,12 @@ def test_snapshot_missing_page_is_flagged_not_fatal(tmp_path):
 
 
 def test_snapshot_mode_makes_zero_network_calls(tmp_path, monkeypatch):
-    import wikiqe.ingest as ingest_module
+    import requests
 
     def explode(*args, **kwargs):
         raise AssertionError("network touched in snapshot mode")
 
-    monkeypatch.setattr(ingest_module.requests, "get", explode)
+    monkeypatch.setattr(requests, "get", explode)
     source = make_snapshot(
         tmp_path,
         searches={"adolescent alcoholism": ["alcoholism"]},
