@@ -173,23 +173,20 @@ def term_lists(table: CentralityTable) -> dict[str, RankedTermList]:
 
     Titles become terms via term_from_title; when two titles collapse to
     the same term (e.g. "x (film)" and "x (novel)"), the higher-ranked
-    occurrence wins.
+    occurrence wins. The lists are permutations of one node set, so each
+    title is converted once.
     """
-    out = {}
-    for source, titles in (
-        ("degree", table.degree_list),
-        ("closeness", table.closeness_list),
-        ("pagerank", table.pagerank_list),
-    ):
-        seen = set()
-        terms = []
-        for title in titles:
-            term = term_from_title(title)
-            if term not in seen:
-                seen.add(term)
-                terms.append(term)
-        out[source] = RankedTermList(source=source, terms=terms)
-    return out
+    term_of = {title: term_from_title(title) for title in table.degree_list}
+    return {
+        source: RankedTermList(
+            source=source, terms=list(dict.fromkeys(map(term_of.__getitem__, titles)))
+        )
+        for source, titles in (
+            ("degree", table.degree_list),
+            ("closeness", table.closeness_list),
+            ("pagerank", table.pagerank_list),
+        )
+    }
 
 
 def expand_query(

@@ -55,19 +55,18 @@ class ConceptSubgraph:
     """Reachability closure of one root inside a parent graph.
 
     ``nodes`` are listed in breadth-first discovery order (deterministic for
-    a given parent graph), ``edges`` in the parent's insertion order.
+    a given parent graph); ``adjacency`` keeps the parent's outlink order.
     ``graph_degree`` is the number of edges in the closure and is the
     quantity that ranks candidate concepts against each other.
     """
 
     root: str
     nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
     adjacency: dict[str, list[str]] = field(repr=False)
 
     @property
     def graph_degree(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adjacency.values()))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -200,11 +199,8 @@ class OntologyGraph:
                     seen.add(nxt)
                     order.append(nxt)
             i += 1
-        edges = tuple(
-            (u, v) for u in order for v in self._adjacency[u]
-        )
         adjacency = {u: list(self._adjacency[u]) for u in order}
-        return ConceptSubgraph(root=root, nodes=tuple(order), edges=edges, adjacency=adjacency)
+        return ConceptSubgraph(root=root, nodes=tuple(order), adjacency=adjacency)
 
     def select_best_concept(self) -> ConceptSubgraph:
         """Pick the root whose closure has the most edges.
@@ -239,9 +235,11 @@ class OntologyGraph:
         """Rebuild a graph from its serialized form (bit-exact round-trip).
 
         Roots are the hop-0 records, in file order. ``hop_bound`` defaults
-        to the largest hop present.
+        to the largest hop present. Raises GraphError naming the line for a
+        record with a malformed or out-of-range hop, or with a link to a
+        title that has no record of its own.
         """
-        records: list[tuple[str, int, list[str]]] = []
+        records: list[tuple[int, str, int, list[str]]] = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line:
                 continue
@@ -253,20 +251,26 @@ class OntologyGraph:
                 hop = int(hop_text)
             except ValueError:
                 raise GraphError(f"line {lineno}: bad hop {hop_text!r}") from None
+            if hop < 0:
+                raise GraphError(f"line {lineno}: negative hop {hop}")
+            if hop_bound is not None and hop > hop_bound:
+                raise GraphError(f"line {lineno}: hop {hop} exceeds bound {hop_bound}")
             outlinks = links.split("|") if links else []
-            records.append((title, hop, outlinks))
+            records.append((lineno, title, hop, outlinks))
         if not records:
             raise GraphError("empty graph serialization")
         if hop_bound is None:
-            hop_bound = max(1, max(hop for _, hop, _ in records))
-        roots = [title for title, hop, _ in records if hop == 0]
+            hop_bound = max(1, max(hop for _, _, hop, _ in records))
+        roots = [title for _, title, hop, _ in records if hop == 0]
         graph = cls(roots, hop_bound=hop_bound)
         # Two passes: register every node at its recorded hop first, then
         # attach edges, so hops survive arbitrary record order.
-        for title, hop, _ in records:
+        for _, title, hop, _ in records:
             graph._insert(title, hop)
-        for title, _, outlinks in records:
+        for lineno, title, _, outlinks in records:
             for target in outlinks:
+                if target not in graph._hops:
+                    raise GraphError(f"line {lineno}: link to {target!r}, which has no record")
                 if (title, target) not in graph._edge_set and title != target:
                     graph._edge_set.add((title, target))
                     graph._adjacency[title].append(target)

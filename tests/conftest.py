@@ -26,10 +26,7 @@ def make_subgraph(adjacency: dict[str, list[str]], root: str | None = None) -> C
             if t not in full:
                 full[t] = []
                 nodes.append(t)
-    edges = tuple((u, v) for u in nodes for v in full[u])
-    return ConceptSubgraph(
-        root=root or nodes[0], nodes=tuple(nodes), edges=edges, adjacency=full
-    )
+    return ConceptSubgraph(root=root or nodes[0], nodes=tuple(nodes), adjacency=full)
 
 
 def hashed_name(key: str) -> str:

@@ -1,0 +1,191 @@
+"""Bit-exactness of the centrality kernels against frozen reference copies,
+plus differential checks against networkx.
+
+``reference_closeness`` and ``reference_pagerank`` are the original
+per-node BFS and dict-based power iteration, kept verbatim. The library
+kernels must return ``==`` scores (same floats, same dict order, same int
+0 for leaves) and the same PageRank ``converged``/``iterations``.
+"""
+
+import random
+from collections import deque
+from pathlib import Path
+
+import pytest
+
+from wikiqe.centrality import PageRankParams, build_table, closeness, pagerank
+from wikiqe.config import RunConfig
+from wikiqe.ingest import PageCache, WikiSource
+
+from conftest import make_subgraph, random_adjacency
+from test_acceptance import crawl_shaped_graph
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+# ---------------------------------------------------------------------------
+# frozen references (do not optimise: they define the expected bits)
+# ---------------------------------------------------------------------------
+
+def reference_closeness(subgraph):
+    scores = {}
+    for source in subgraph.nodes:
+        dist = _reference_bfs(subgraph.adjacency, source)
+        scores[source] = sum(1.0 / d for node, d in dist.items() if node != source)
+    return scores
+
+
+def _reference_bfs(adjacency, source):
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        for nxt in adjacency[node]:
+            if nxt not in dist:
+                dist[nxt] = dist[node] + 1
+                queue.append(nxt)
+    return dist
+
+
+def reference_pagerank(subgraph, params):
+    nodes = subgraph.nodes
+    n = len(nodes)
+    d = params.damping
+    adjacency = subgraph.adjacency
+    rank = {node: 1.0 / n for node in nodes}
+    converged = False
+    iterations = 0
+    for iterations in range(1, params.max_iterations + 1):
+        dangling = sum(rank[u] for u in nodes if not adjacency[u])
+        base = (1.0 - d) / n + d * dangling / n
+        nxt = {node: base for node in nodes}
+        for u in nodes:
+            out = adjacency[u]
+            if out:
+                share = d * rank[u] / len(out)
+                for v in out:
+                    nxt[v] += share
+        delta = sum(abs(nxt[node] - rank[node]) for node in nodes)
+        rank = nxt
+        if delta < params.tolerance:
+            converged = True
+            break
+    return rank, converged, iterations
+
+
+def assert_bit_exact(subgraph, params=None):
+    params = params or PageRankParams()
+    expected = reference_closeness(subgraph)
+    actual = closeness(subgraph)
+    assert actual == expected
+    assert list(actual) == list(expected)
+    assert [type(v) for v in actual.values()] == [type(v) for v in expected.values()]
+    scores, converged, iterations = reference_pagerank(subgraph, params)
+    result = pagerank(subgraph, params)
+    assert result.scores == scores
+    assert list(result.scores) == list(scores)
+    assert (result.converged, result.iterations) == (converged, iterations)
+
+
+# ---------------------------------------------------------------------------
+# bit-exactness
+# ---------------------------------------------------------------------------
+
+def test_leaves_score_int_zero():
+    sub = make_subgraph({"hub": ["a", "b"], "a": ["b"], "loop": ["loop"]})
+    scores = closeness(sub)
+    assert scores["b"] == 0 and type(scores["b"]) is int
+    # a node whose only link is to itself reaches nothing else either
+    assert scores["loop"] == 0 and type(scores["loop"]) is int
+    assert type(scores["hub"]) is float
+    assert_bit_exact(sub)
+
+
+def test_bit_exact_on_crawl_shaped_graph():
+    graph = crawl_shaped_graph()
+    for root in graph.roots:
+        assert_bit_exact(graph.isolate_subgraph(root))
+    best = graph.select_best_concept()
+    table = build_table(best)
+    assert table.closeness == reference_closeness(best)
+    assert table.pagerank == reference_pagerank(best, PageRankParams())[0]
+
+
+def test_bit_exact_on_fixture_queries():
+    config = RunConfig.load(FIXTURES / "config.json")
+    source = WikiSource(PageCache(config.snapshot_dir))
+    queries = (FIXTURES / "queries.txt").read_text(encoding="utf-8").split("\n")
+    for query in filter(None, queries):
+        graph = source.build_graph(query, config.crawl)
+        for root in graph.roots:
+            assert_bit_exact(graph.isolate_subgraph(root), config.pagerank)
+
+
+def test_bit_exact_on_random_cyclic_and_disconnected_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graphs(draw):
+        n = draw(st.integers(1, 90))
+        names = [f"v{i}" for i in range(n)]
+        node = st.integers(0, n - 1)
+        edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+        adjacency = {name: [] for name in draw(st.permutations(names))}
+        for u, v in edges:  # self-links and repeats kept: the kernels must agree anyway
+            adjacency[names[u]].append(names[v])
+        return adjacency
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        graphs(),
+        st.sampled_from([1e-15, 1e-8, 1e-3]),
+        st.integers(1, 60),
+    )
+    def check(adjacency, tolerance, max_iterations):
+        sub = make_subgraph(adjacency)
+        assert_bit_exact(sub, PageRankParams(tolerance=tolerance, max_iterations=max_iterations))
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# networkx as an independent oracle
+# ---------------------------------------------------------------------------
+
+def _nx_graphs():
+    rng = random.Random(11)
+    for n, p in ((1, 0.0), (12, 0.0), (40, 0.03), (60, 0.08), (80, 0.2)):
+        yield random_adjacency(rng, n, p)
+    small = crawl_shaped_graph(n_target=600, branching=8, seed=5)
+    yield small.select_best_concept().adjacency
+
+
+def _to_networkx(nx, sub):
+    graph = nx.DiGraph()
+    graph.add_nodes_from(sub.nodes)
+    graph.add_edges_from((u, v) for u in sub.nodes for v in sub.adjacency[u])
+    return graph
+
+
+def test_closeness_matches_networkx_harmonic_on_reversed_graph():
+    nx = pytest.importorskip("networkx")
+    for adjacency in _nx_graphs():
+        sub = make_subgraph(adjacency)
+        expected = nx.harmonic_centrality(_to_networkx(nx, sub).reverse())
+        actual = closeness(sub)
+        for node in sub.nodes:
+            # relative: networkx adds the same terms in another order, which
+            # moves a score of ~160 by about 1e-12
+            assert actual[node] == pytest.approx(expected[node], rel=1e-12, abs=1e-12)
+
+
+def test_pagerank_matches_networkx_uniform_dangling():
+    nx = pytest.importorskip("networkx")
+    pytest.importorskip("scipy")  # networkx's pagerank runs on scipy.sparse
+    for adjacency in _nx_graphs():
+        sub = make_subgraph(adjacency)
+        expected = nx.pagerank(_to_networkx(nx, sub), alpha=0.85, tol=1e-12, max_iter=1000)
+        actual = pagerank(sub).scores
+        for node in sub.nodes:
+            assert actual[node] == pytest.approx(expected[node], abs=1e-6)

@@ -234,6 +234,18 @@ def test_loads_rejects_malformed_lines():
         OntologyGraph.loads("title\tnot-a-number\t\n")
 
 
+@pytest.mark.parametrize("text, hop_bound, message", [
+    # a link to a title without a record used to load, then crash later
+    # in select_best_concept with KeyError
+    ("a\t0\tb|ghost\nb\t1\t\n", None, r"line 1: link to 'ghost', which has no record"),
+    ("a\t0\tb\nb\t5\t\n", 3, "line 2: hop 5 exceeds bound 3"),
+    ("a\t0\tb\nb\t-1\t\n", None, "line 2: negative hop -1"),
+])
+def test_loads_rejects_inconsistent_records(text, hop_bound, message):
+    with pytest.raises(GraphError, match=message):
+        OntologyGraph.loads(text, hop_bound=hop_bound)
+
+
 def test_reserved_characters_rejected():
     graph = OntologyGraph(["a"], hop_bound=2)
     with pytest.raises(GraphError):
