@@ -11,17 +11,13 @@ from pathlib import Path
 from wikiqe import (
     CrawlConfig,
     FixtureEngineAdapter,
-    RankedTermList,
-    SynonymDictionary,
     WikiSource,
     build_table,
     engine_weight,
     run_mse,
-    source_term_lists,
-    thesaurus_expand,
     wbf_merge,
 )
-from wikiqe.fusion import DEFAULT_ENGINES, SIX_SOURCE_WEIGHTS, gold_variants
+from wikiqe.fusion import DEFAULT_ENGINES, SIX_SOURCE_WEIGHTS, gold_source_lists, gold_variants
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 query = "adolescent alcoholism"
@@ -37,13 +33,11 @@ for engine in DEFAULT_ENGINES:
 source = WikiSource.from_env(snapshot_dir=FIXTURES / "snapshot")
 graph = source.build_graph(query, CrawlConfig(hop_bound=3))
 table = build_table(graph.select_best_concept())
-lists = list(source_term_lists(table, query).values())
-for name, ordering in (("wordnet", "ranked"), ("wikisynonyms", "ranked"), ("moby", "unranked")):
-    dictionary = SynonymDictionary.from_file(FIXTURES / "dicts" / f"{name}.txt", ordering=ordering)
-    baseline = thesaurus_expand(dictionary, query, m=10, seed=0)
-    lists.append(RankedTermList(source=name, terms=baseline.qe_terms))
-
-variants = gold_variants(query, lists, m=10)
+dictionaries = {
+    name: FIXTURES / "dicts" / f"{name}.txt" for name in ("wordnet", "wikisynonyms", "moby")
+}
+lists = gold_source_lists(table, query, SIX_SOURCE_WEIGHTS, dictionaries)
+variants = gold_variants(query, lists)
 print("\nexpanded query per knowledge source:")
 for name, variant in sorted(variants.items()):
     print(f"  {name:<13} {variant}")

@@ -19,13 +19,17 @@ sys.path.insert(0, str(REPO / "src"))
 
 from wikiqe.centrality import build_table  # noqa: E402
 from wikiqe.config import BASIC_QUERIES, RunConfig, benchmark_queries  # noqa: E402
-from wikiqe.expand import SynonymDictionary, source_term_lists, thesaurus_expand, RankedTermList  # noqa: E402
-from wikiqe.fusion import DEFAULT_ENGINES, gold_variants, serp_fixture_name  # noqa: E402
+from wikiqe.fusion import (  # noqa: E402
+    DEFAULT_ENGINES,
+    SIX_SOURCE_WEIGHTS,
+    gold_source_lists,
+    gold_variants,
+    serp_fixture_name,
+)
 from wikiqe.ingest import CrawlConfig, PageCache, PageRecord, WikiSource  # noqa: E402
 from wikiqe.text import default_stopwords, query_terms  # noqa: E402
 
 FIXTURES = REPO / "fixtures"
-GOLD_M = 10
 SERP_LENGTH = 200
 
 # ---------------------------------------------------------------------------
@@ -226,6 +230,9 @@ MOBY = {
 }
 
 
+DICTIONARIES = {"wordnet": WORDNET, "wikisynonyms": WIKISYNONYMS, "moby": MOBY}
+
+
 def dump_dictionary(path: Path, entries: dict) -> None:
     lines = [f"{head}: {', '.join(syns)}" for head, syns in sorted(entries.items())]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -234,10 +241,9 @@ def dump_dictionary(path: Path, entries: dict) -> None:
 def build_dictionaries() -> None:
     dicts = FIXTURES / "dicts"
     dicts.mkdir(parents=True, exist_ok=True)
-    dump_dictionary(dicts / "wordnet.txt", WORDNET)
-    dump_dictionary(dicts / "wikisynonyms.txt", WIKISYNONYMS)
-    dump_dictionary(dicts / "moby.txt", MOBY)
-    print("dictionaries: wordnet, wikisynonyms, moby")
+    for name, entries in DICTIONARIES.items():
+        dump_dictionary(dicts / f"{name}.txt", entries)
+    print(f"dictionaries: {', '.join(DICTIONARIES)}")
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +286,9 @@ def adolescent_variants() -> dict[str, str]:
     graph = source.build_graph("adolescent alcoholism", config)
     best = graph.select_best_concept()
     table = build_table(best)
-    stopwords = default_stopwords()
-    lists = list(source_term_lists(table, "adolescent alcoholism", stopwords).values())
-    dicts_dir = FIXTURES / "dicts"
-    for name, ordering in (("wordnet", "ranked"), ("wikisynonyms", "ranked"), ("moby", "unranked")):
-        dictionary = SynonymDictionary.from_file(dicts_dir / f"{name}.txt", ordering=ordering)
-        expansion = thesaurus_expand(dictionary, "adolescent alcoholism", GOLD_M, stopwords, seed=0)
-        lists.append(RankedTermList(source=name, terms=expansion.qe_terms))
-    return gold_variants("adolescent alcoholism", lists, m=GOLD_M)
+    dictionaries = {name: FIXTURES / "dicts" / f"{name}.txt" for name in DICTIONARIES}
+    lists = gold_source_lists(table, "adolescent alcoholism", SIX_SOURCE_WEIGHTS, dictionaries)
+    return gold_variants("adolescent alcoholism", lists)
 
 
 def build_serps() -> None:
@@ -327,7 +328,7 @@ def build_serps() -> None:
 
 def build_judgments() -> None:
     """Two judges over the top gold URLs for the reference query."""
-    from wikiqe.fusion import FixtureEngineAdapter, run_mse, SIX_SOURCE_WEIGHTS
+    from wikiqe.fusion import FixtureEngineAdapter, run_mse
 
     variants = adolescent_variants()
     adapter = FixtureEngineAdapter(FIXTURES / "serp")
@@ -350,11 +351,7 @@ def build_queries_and_config() -> None:
     config = RunConfig(
         snapshot_dir=Path("snapshot"),
         serp_dir=Path("serp"),
-        dictionaries={
-            "wordnet": Path("dicts/wordnet.txt"),
-            "wikisynonyms": Path("dicts/wikisynonyms.txt"),
-            "moby": Path("dicts/moby.txt"),
-        },
+        dictionaries={name: Path(f"dicts/{name}.txt") for name in DICTIONARIES},
         output_dir=Path("out"),
         seed=0,
     )

@@ -3,8 +3,8 @@
 A query is resolved to candidate Wikipedia concepts, a bounded link crawl
 builds a directed concept graph, and network properties of the best
 concept's subgraph (out-degree, harmonic closeness, PageRank) vote -- via
-intersection sets and Borda counting -- on the expansion terms appended
-to the query. Rankings from several engines are merged with weighted
+Borda counting over each ranking's top-k window -- on the expansion terms
+appended to the query. Rankings from several engines are merged with weighted
 Borda fusion, which also produces the pseudo-relevance gold standard the
 evaluation metrics (P@x, S@x, NDCG@k, Cohen's kappa) score against.
 """
@@ -26,7 +26,6 @@ from .expand import (
     borda_combine,
     expand_query,
     filter_terms,
-    intersection_set,
     rewrite,
     source_term_lists,
     thesaurus_expand,
@@ -37,13 +36,11 @@ from .fusion import (
     FixtureEngineAdapter,
     FusedList,
     FusionError,
-    HttpEngineAdapter,
     KnowledgeWeights,
     MseResult,
     ResultList,
     SearchHit,
     engine_weight,
-    meta_prf_gold,
     normalize_url,
     run_mse,
     wbf_merge,

@@ -21,16 +21,15 @@ from pathlib import Path
 
 from .centrality import build_table
 from .config import RunConfig, benchmark_queries, query_slug
-from .expand import (
-    THESAURUS_SOURCES,
-    RankedTermList,
-    SynonymDictionary,
-    expand_query,
-    rewrite,
-    source_term_lists,
-    thesaurus_expand,
+from .expand import expand_query, rewrite
+from .fusion import (
+    FixtureEngineAdapter,
+    FusionError,
+    KnowledgeWeights,
+    gold_source_lists,
+    gold_variants,
+    run_mse,
 )
-from .fusion import FixtureEngineAdapter, FusionError, KnowledgeWeights, gold_variants, run_mse
 from .graph import GraphError
 from .ingest import IngestError, WikiSource
 from .metrics import (
@@ -45,8 +44,6 @@ from .metrics import (
     timed,
 )
 from .text import default_stopwords, load_stopwords
-
-GOLD_M = 10  # QE terms per knowledge source when generating the gold standard
 
 
 def _configure(args) -> RunConfig:
@@ -116,36 +113,17 @@ def cmd_expand(args) -> int:
     return 2 if result.shortfall else 0
 
 
-def _gold_source_lists(config: RunConfig, query: str, table) -> list[RankedTermList]:
-    """QE candidate lists for every weighted knowledge source."""
-    stopwords = _stopwords(config)
-    weight_map = config.weights.as_map()
-    lists = []
-    graph_lists = source_term_lists(table, query, stopwords)
-    for source, ranked in graph_lists.items():
-        if weight_map[source] > 0:
-            lists.append(ranked)
-    for source in THESAURUS_SOURCES:
-        if weight_map[source] <= 0:
-            continue
-        path = config.dictionaries.get(source)
-        if path is None:
-            raise FusionError(f"source {source!r} has weight > 0 but no dictionary configured")
-        dictionary = SynonymDictionary.from_file(
-            path, ordering="unranked" if source == "moby" else "ranked"
-        )
-        expansion = thesaurus_expand(dictionary, query, GOLD_M, stopwords, seed=config.seed)
-        lists.append(RankedTermList(source=source, terms=expansion.qe_terms))
-    return lists
-
-
 def cmd_gold(args) -> int:
+    if args.k < 1:
+        raise ValueError(f"k must be >= 1, got {args.k}")
     config = _configure(args)
     if config.serp_dir is None:
         raise FusionError("gold generation needs a SERP fixture directory (paths.serp_dir)")
     _, _, table = _pipeline_table(config, args.query)
-    sources = _gold_source_lists(config, args.query, table)
-    variants = gold_variants(args.query, sources, m=GOLD_M)
+    sources = gold_source_lists(
+        table, args.query, config.weights, config.dictionaries, _stopwords(config), config.seed
+    )
+    variants = gold_variants(args.query, sources)
     adapter = FixtureEngineAdapter(config.serp_dir)
     outcome = run_mse(adapter, variants, config.engines, config.weights, cap=args.cap)
     for failure in outcome.failures:

@@ -118,9 +118,8 @@ class RunConfig:
         config = cls(
             crawl=CrawlConfig(**data.get("crawl", {})),
             pagerank=PageRankParams(**data.get("pagerank", {})),
-            weights=KnowledgeWeights(**data.get("weights", {"degree": 30, "closeness": 20,
-                                                            "pagerank": 20, "wordnet": 10,
-                                                            "wikisynonyms": 10, "moby": 10})),
+            weights=(KnowledgeWeights(**data["weights"]) if "weights" in data
+                     else SIX_SOURCE_WEIGHTS),
             engines=(list(DEFAULT_ENGINES) if engines is None
                      else [EngineConfig(**e) for e in engines]),
             snapshot_dir=resolve(paths.get("snapshot_dir")),

@@ -1,11 +1,10 @@
 """Turning centrality rankings into final query-expansion terms.
 
 The pipeline: take the three ranked node lists (degree, closeness,
-PageRank), intersect each against the other two, fuse the three
-intersection lists with Borda-count voting, drop query words and
-stopwords, and keep the top-m survivors. A thesaurus-driven baseline
-(first-come-first-served synonym picking) and the query rewriter live
-here as well.
+PageRank), keep the top-k window of each, fuse the three windows with
+Borda-count voting, drop query words and stopwords, and keep the top-m
+survivors. A thesaurus-driven baseline (first-come-first-served synonym
+picking) and the query rewriter live here as well.
 
 Everything is pure; the only stateful piece is the seeded shuffler used
 for unranked synonym dictionaries, and it is confined to a single call.
@@ -28,7 +27,6 @@ __all__ = [
     "ExpansionResult",
     "SynonymDictionary",
     "term_from_title",
-    "intersection_set",
     "borda_combine",
     "filter_terms",
     "term_lists",
@@ -115,19 +113,6 @@ def term_from_title(title: str) -> str:
     return term
 
 
-def intersection_set(
-    primary: RankedTermList,
-    others: tuple[RankedTermList, RankedTermList],
-    k: int = 100,
-) -> list[str]:
-    """First ``k`` terms of ``primary`` that appear in both other lists,
-    in the primary list's order."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    first, second = (set(o.terms) for o in others)
-    return [t for t in primary.terms[:k] if t in first and t in second]
-
-
 def borda_combine(lists: list[list[str]]) -> list[tuple[str, int]]:
     """Fuse ranked lists by Borda-count voting.
 
@@ -189,6 +174,18 @@ def term_lists(table: CentralityTable) -> dict[str, RankedTermList]:
     }
 
 
+def _top_k_windows(table: CentralityTable, k: int) -> dict[str, list[str]]:
+    """The first ``k`` terms of each graph source's list.
+
+    The paper intersects each list's window with the other two lists.
+    The three lists rank one node set and so hold one term set, which
+    makes that intersection keep every term: the window is the result.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return {source: ranked.terms[:k] for source, ranked in term_lists(table).items()}
+
+
 def expand_query(
     table: CentralityTable,
     user_query: str,
@@ -200,13 +197,8 @@ def expand_query(
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     stopwords = default_stopwords() if stopwords is None else stopwords
-    lists = term_lists(table)
-    intersections = {
-        "degree": intersection_set(lists["degree"], (lists["closeness"], lists["pagerank"]), k),
-        "closeness": intersection_set(lists["closeness"], (lists["degree"], lists["pagerank"]), k),
-        "pagerank": intersection_set(lists["pagerank"], (lists["closeness"], lists["degree"]), k),
-    }
-    combined = borda_combine(list(intersections.values()))
+    windows = _top_k_windows(table, k)
+    combined = borda_combine(list(windows.values()))
     surviving = filter_terms([term for term, _ in combined], user_query, stopwords)
     qe_terms = surviving[:m]
     scores = dict(combined)
@@ -215,7 +207,7 @@ def expand_query(
         qe_terms=qe_terms,
         borda_scores={t: scores[t] for t in qe_terms},
         provenance={
-            t: [src for src in GRAPH_SOURCES if t in intersections[src]] for t in qe_terms
+            t: [src for src in GRAPH_SOURCES if t in windows[src]] for t in qe_terms
         },
         shortfall=len(qe_terms) < m,
     )
@@ -229,19 +221,14 @@ def source_term_lists(
 ) -> dict[str, RankedTermList]:
     """QE candidate list per graph source, for gold-standard generation.
 
-    Each source contributes its own intersection list (that source as the
-    primary ranking) with query words and stopwords already removed.
+    Each source contributes its own top-k window with query words and
+    stopwords already removed.
     """
     stopwords = default_stopwords() if stopwords is None else stopwords
-    lists = term_lists(table)
-    out = {}
-    for source in GRAPH_SOURCES:
-        others = tuple(lists[s] for s in GRAPH_SOURCES if s != source)
-        intersected = intersection_set(lists[source], others, k)
-        out[source] = RankedTermList(
-            source=source, terms=filter_terms(intersected, user_query, stopwords)
-        )
-    return out
+    return {
+        source: RankedTermList(source=source, terms=filter_terms(window, user_query, stopwords))
+        for source, window in _top_k_windows(table, k).items()
+    }
 
 
 def thesaurus_expand(

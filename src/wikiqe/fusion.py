@@ -19,7 +19,17 @@ import urllib.parse
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .expand import KNOWLEDGE_SOURCES, ExpansionResult, RankedTermList, rewrite
+from .centrality import CentralityTable
+from .expand import (
+    KNOWLEDGE_SOURCES,
+    THESAURUS_SOURCES,
+    ExpansionResult,
+    RankedTermList,
+    SynonymDictionary,
+    rewrite,
+    source_term_lists,
+    thesaurus_expand,
+)
 
 __all__ = [
     "FusionError",
@@ -35,14 +45,14 @@ __all__ = [
     "wbf_merge",
     "run_mse",
     "gold_variants",
-    "meta_prf_gold",
+    "gold_source_lists",
     "EngineAdapter",
     "FixtureEngineAdapter",
-    "HttpEngineAdapter",
     "serp_fixture_name",
     "DEFAULT_ENGINES",
     "SIX_SOURCE_WEIGHTS",
     "GRAPH_TUNED_WEIGHTS",
+    "GOLD_M",
 ]
 
 
@@ -119,6 +129,7 @@ SIX_SOURCE_WEIGHTS = KnowledgeWeights(
     degree=30, closeness=20, pagerank=20, wordnet=10, wikisynonyms=10, moby=10
 )
 GRAPH_TUNED_WEIGHTS = KnowledgeWeights(degree=20, closeness=30, pagerank=20)
+GOLD_M = 10  # QE terms per knowledge source when generating the gold standard
 
 
 @dataclass(frozen=True)
@@ -247,62 +258,10 @@ class FixtureEngineAdapter(EngineAdapter):
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
             rows = [(r["url"], r.get("title", "")) for r in payload["results"][:limit]]
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+            return ResultList.from_raw(engine_id, query, rows)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            # ValueError covers bad JSON and URLs normalize_url rejects (bad port)
             raise EngineError(f"malformed SERP fixture {path.name}: {exc}") from exc
-        return ResultList.from_raw(engine_id, query, rows)
-
-
-class HttpEngineAdapter(EngineAdapter):
-    """Generic JSON web-search endpoint client.
-
-    Configured with the endpoint URL, the query/count parameter names and
-    the response keys holding the result rows, so any engine with a JSON
-    API can be plugged in. ``transport`` is injectable for tests.
-    """
-
-    def __init__(
-        self,
-        endpoint: str,
-        api_key: str | None = None,
-        query_param: str = "q",
-        count_param: str | None = "count",
-        results_key: str = "results",
-        url_key: str = "url",
-        title_key: str = "title",
-        timeout: float = 10.0,
-        transport=None,
-    ):
-        self.endpoint = endpoint
-        self.api_key = api_key
-        self.query_param = query_param
-        self.count_param = count_param
-        self.results_key = results_key
-        self.url_key = url_key
-        self.title_key = title_key
-        self.timeout = timeout
-        self._transport = transport or self._http_get
-
-    def _http_get(self, params: dict, headers: dict) -> dict:
-        import requests  # only live engines need it; fixture runs skip its import cost
-
-        response = requests.get(self.endpoint, params=params, headers=headers, timeout=self.timeout)
-        response.raise_for_status()
-        return response.json()
-
-    def search(self, engine_id: str, query: str, limit: int) -> ResultList:
-        params = {self.query_param: query}
-        if self.count_param:
-            params[self.count_param] = limit
-        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
-        try:
-            payload = self._transport(params, headers)
-            rows = [
-                (row[self.url_key], row.get(self.title_key, ""))
-                for row in payload[self.results_key][:limit]
-            ]
-        except Exception as exc:
-            raise EngineError(f"engine {engine_id!r} query failed: {exc}") from exc
-        return ResultList.from_raw(engine_id, query, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +309,40 @@ def run_mse(
     return MseResult(fused=wbf_merge(collected, cap=cap), failures=failures)
 
 
+def gold_source_lists(
+    table: CentralityTable,
+    user_query: str,
+    weights: KnowledgeWeights,
+    dictionaries: dict[str, str | Path],
+    stopwords: frozenset[str] | None = None,
+    seed: int = 0,
+) -> list[RankedTermList]:
+    """QE candidate list of every weighted knowledge source, for the gold standard.
+
+    Graph sources take their filtered top-k windows from the centrality
+    table; each thesaurus source takes GOLD_M round-robin synonyms from its
+    dictionary file (Moby's synonym order is arbitrary, so it is shuffled
+    with ``seed``).
+    """
+    weight_map = weights.as_map()
+    graph_lists = source_term_lists(table, user_query, stopwords)
+    lists = [ranked for source, ranked in graph_lists.items() if weight_map[source] > 0]
+    for source in THESAURUS_SOURCES:
+        if weight_map[source] <= 0:
+            continue
+        path = dictionaries.get(source)
+        if path is None:
+            raise FusionError(f"source {source!r} has weight > 0 but no dictionary configured")
+        dictionary = SynonymDictionary.from_file(
+            path, ordering="unranked" if source == "moby" else "ranked"
+        )
+        expansion = thesaurus_expand(dictionary, user_query, GOLD_M, stopwords, seed=seed)
+        lists.append(RankedTermList(source=source, terms=expansion.qe_terms))
+    return lists
+
+
 def gold_variants(
-    user_query: str, all_sources: list[RankedTermList], m: int = 10
+    user_query: str, all_sources: list[RankedTermList], m: int = GOLD_M
 ) -> dict[str, str]:
     """One rewritten query per knowledge source, using its top-m terms."""
     if m < 1:
@@ -361,26 +352,3 @@ def gold_variants(
         expansion = ExpansionResult(user_query=user_query, qe_terms=source_list.terms[:m])
         variants[source_list.source] = rewrite(user_query, expansion)
     return variants
-
-
-def meta_prf_gold(
-    adapter: EngineAdapter,
-    user_query: str,
-    all_sources: list[RankedTermList],
-    engines: list[EngineConfig],
-    weights: KnowledgeWeights,
-    k: int,
-    m: int = 10,
-    cap: int = 200,
-) -> list[str]:
-    """Pseudo-relevance gold standard via metasearch fusion.
-
-    Rewrites the query once per knowledge source using that source's top-m
-    candidate terms, fuses all (source x engine) result lists, and returns
-    the top-k fused URLs as the assumed-relevant set.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    variants = gold_variants(user_query, all_sources, m)
-    outcome = run_mse(adapter, variants, engines, weights, cap=cap)
-    return outcome.fused.urls()[:k]

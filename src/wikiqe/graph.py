@@ -36,7 +36,9 @@ def normalize_title(title: str) -> str:
     a fixpoint: normalize(normalize(t)) == normalize(t).
     """
     text = title
-    for _ in range(8):
+    # Terminates: after the first round only percent-decoding can change
+    # the text, and each decoded escape shortens it.
+    while True:
         prev = text
         text = urllib.parse.unquote(text)
         text = text.split("#", 1)[0]
@@ -236,8 +238,9 @@ class OntologyGraph:
 
         Roots are the hop-0 records, in file order. ``hop_bound`` defaults
         to the largest hop present. Raises GraphError naming the line for a
-        record with a malformed or out-of-range hop, or with a link to a
-        title that has no record of its own.
+        record with a malformed or out-of-range hop, with a link to a title
+        that has no record of its own, or with a hop more than one past the
+        hop of a page linking to it (longer than its shortest path).
         """
         records: list[tuple[int, str, int, list[str]]] = []
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -265,12 +268,19 @@ class OntologyGraph:
         graph = cls(roots, hop_bound=hop_bound)
         # Two passes: register every node at its recorded hop first, then
         # attach edges, so hops survive arbitrary record order.
-        for _, title, hop, _ in records:
+        line_of = {}
+        for lineno, title, hop, _ in records:
             graph._insert(title, hop)
+            line_of.setdefault(title, lineno)
         for lineno, title, _, outlinks in records:
             for target in outlinks:
                 if target not in graph._hops:
                     raise GraphError(f"line {lineno}: link to {target!r}, which has no record")
+                if graph._hops[target] > graph._hops[title] + 1:
+                    raise GraphError(
+                        f"line {line_of[target]}: {target!r} at hop {graph._hops[target]},"
+                        f" but {title!r} at hop {graph._hops[title]} links to it"
+                    )
                 if (title, target) not in graph._edge_set and title != target:
                     graph._edge_set.add((title, target))
                     graph._adjacency[title].append(target)

@@ -13,7 +13,7 @@ import pytest
 
 from wikiqe.centrality import PageRankParams, build_table, closeness, degree, pagerank
 from wikiqe.cli import main
-from wikiqe.expand import RankedTermList, borda_combine, expand_query, intersection_set
+from wikiqe.expand import borda_combine, expand_query, term_lists
 from wikiqe.fusion import (
     DEFAULT_ENGINES,
     SIX_SOURCE_WEIGHTS,
@@ -85,8 +85,21 @@ def test_criterion_1_centrality_oracles():
 # 2. intersection + Borda against exhaustive oracles
 # ---------------------------------------------------------------------------
 
+SOURCES = ("degree", "closeness", "pagerank")
+
+
+def random_titled_table(rng):
+    """build_table over a random graph whose titles collapse to terms in
+    threes ("n3", "n3 (film)" and "n3 (novel)" all give "n3")."""
+    adjacency = random_adjacency(rng, rng.randint(1, 40), rng.choice([0.03, 0.1, 0.25]))
+    senses = ("", " (film)", " (novel)")
+    title = {name: f"n{i // 3}{senses[i % 3]}" for i, name in enumerate(adjacency)}
+    renamed = {title[u]: [title[v] for v in targets] for u, targets in adjacency.items()}
+    return build_table(make_subgraph(renamed))
+
+
 def test_criterion_2_intersection_and_borda_oracles():
-    with criterion(2, "intersection/Borda agree with enumeration oracles on 1000+ list triples"):
+    with criterion(2, "intersection/Borda agree with enumeration oracles on 1000+ cases"):
         assert borda_combine([["a", "b", "c"], ["b", "a"]]) == [("a", 4), ("b", 4), ("c", 1)]
 
         universe = ["a", "b", "c", "d", "e", "f"]
@@ -94,20 +107,30 @@ def test_criterion_2_intersection_and_borda_oracles():
         for length in (1, 2, 3):
             pool.extend(list(p) for p in itertools.permutations(universe, length))
         rng = random.Random(1002)
-        cases = 0
         for _ in range(1100):
             triple = [rng.choice(pool) for _ in range(3)]
             assert borda_combine(triple) == brute_force_borda(triple)
 
-            primary, first, second = triple
-            k = rng.randint(1, 6)
-            got = intersection_set(
-                RankedTermList("degree", primary),
-                (RankedTermList("closeness", first), RankedTermList("pagerank", second)),
-                k,
-            )
-            assert got == [t for t in primary[:k] if t in set(first) and t in set(second)]
-            cases += 1
+        # The paper's intersection step, as the oracle: each list's top-k
+        # window, keeping the terms found in both other lists.
+        cases = 0
+        for _ in range(120):
+            table = random_titled_table(rng)
+            lists = {source: ranked.terms for source, ranked in term_lists(table).items()}
+            assert set(lists["degree"]) == set(lists["closeness"]) == set(lists["pagerank"])
+            for k in (1, rng.randint(1, 45), 100):
+                intersections = []
+                for source in SOURCES:
+                    first, second = (set(lists[s]) for s in SOURCES if s != source)
+                    window = lists[source][:k]
+                    intersected = [t for t in window if t in first and t in second]
+                    assert intersected == window
+                    intersections.append(intersected)
+                    cases += 1
+                fused = brute_force_borda(intersections)
+                result = expand_query(table, "zzz", m=len(fused), stopwords=frozenset(), k=k)
+                assert result.qe_terms == [term for term, _ in fused]
+                assert result.borda_scores == dict(fused)
         assert cases >= 1000
 
 

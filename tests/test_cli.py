@@ -12,6 +12,7 @@ import pytest
 from conftest import hashed_name
 from wikiqe.cli import main
 from wikiqe.config import RunConfig, benchmark_queries, query_slug
+from wikiqe.fusion import SIX_SOURCE_WEIGHTS
 from wikiqe.ingest import PageCache, PageRecord
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -133,7 +134,12 @@ def test_expand_weights_flag_rejects_garbage(tmp_path, capsys):
 # gold
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("k", [3, 5, 10])
+def fused_urls(out_dir):
+    rows = (out_dir / "adolescent_alcoholism__fused.csv").read_text().splitlines()[1:]
+    return [row.split(",")[1] for row in rows]
+
+
+@pytest.mark.parametrize("k", [3, 5, 10, 500])
 def test_gold_writes_k_urls(tmp_path, capsys, k):
     code, out, _ = run_cli(
         capsys, "gold", QUERY, "--k", str(k), "--config", CONFIG, "--out", str(tmp_path)
@@ -142,8 +148,22 @@ def test_gold_writes_k_urls(tmp_path, capsys, k):
     path = tmp_path / f"adolescent_alcoholism__gold_k{k}.urls"
     assert str(path) in out
     urls = path.read_text().splitlines()
-    assert len(urls) == k
+    fused = fused_urls(tmp_path)
+    assert len(fused) == 300
+    # a k past the fused list's length yields the whole list
+    assert len(urls) == min(k, len(fused))
+    assert urls == fused[:k]
     assert all(u.startswith("https://") for u in urls)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_gold_rejects_k_below_one(tmp_path, capsys, k):
+    code, _, err = run_cli(
+        capsys, "gold", QUERY, "--k", str(k), "--config", CONFIG, "--out", str(tmp_path)
+    )
+    assert code == 1
+    assert err.startswith("error: k must be >= 1")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gold_sets_nest_by_prefix(tmp_path, capsys):
@@ -178,7 +198,10 @@ def test_gold_is_deterministic(tmp_path, capsys):
     for i in range(2):
         out_dir = tmp_path / f"g{i}"
         run_cli(capsys, "gold", QUERY, "--k", "10", "--config", CONFIG, "--out", str(out_dir))
-        files.append((out_dir / "adolescent_alcoholism__gold_k10.urls").read_bytes())
+        files.append([
+            (out_dir / name).read_bytes()
+            for name in ("adolescent_alcoholism__gold_k10.urls", "adolescent_alcoholism__fused.csv")
+        ])
     assert files[0] == files[1]
 
 
@@ -348,6 +371,12 @@ def test_config_presets_round_trip():
         config.apply_preset(preset)
         clone = RunConfig.from_dict(config.to_dict())
         assert clone.to_dict() == config.to_dict()
+
+
+def test_config_without_weights_uses_six_source_split():
+    config = RunConfig.from_dict({})
+    assert config.weights == SIX_SOURCE_WEIGHTS
+    assert config.to_dict() == RunConfig().to_dict()
 
 
 def test_config_rejects_missing_paths(tmp_path):

@@ -1,4 +1,4 @@
-"""Intersection sets, Borda fusion, filtering and the two expansion paths."""
+"""Top-k windows, Borda fusion, filtering and the two expansion paths."""
 
 import itertools
 import random
@@ -13,7 +13,6 @@ from wikiqe.expand import (
     borda_combine,
     expand_query,
     filter_terms,
-    intersection_set,
     rewrite,
     source_term_lists,
     term_from_title,
@@ -41,46 +40,6 @@ def test_term_strips_trailing_disambiguator():
 def test_term_keeps_inner_parentheses_and_case_folds():
     assert term_from_title("Disability-Adjusted Life Year") == "disability-adjusted life year"
     assert term_from_title("(What) a title") == "(what) a title"
-
-
-# ---------------------------------------------------------------------------
-# intersection_set
-# ---------------------------------------------------------------------------
-
-def test_intersection_follows_primary_order():
-    d = ranked("degree", ["x", "y", "z"])
-    c = ranked("closeness", ["y", "x"])
-    p = ranked("pagerank", ["x", "y"])
-    assert intersection_set(d, (c, p)) == ["x", "y"]
-    assert intersection_set(c, (d, p)) == ["y", "x"]
-
-
-def test_intersection_disjoint_lists_is_empty():
-    a = ranked("degree", ["q"])
-    b = ranked("closeness", ["r"])
-    c = ranked("pagerank", ["s"])
-    assert intersection_set(a, (b, c)) == []
-
-
-def test_intersection_respects_k_window():
-    primary = ranked("degree", ["a", "b", "c", "d"])
-    other = ranked("closeness", ["d", "c", "b", "a"])
-    other2 = ranked("pagerank", ["a", "b", "c", "d"])
-    assert intersection_set(primary, (other, other2), k=2) == ["a", "b"]
-
-
-def test_intersection_is_subset_of_primary_prefix(rng):
-    universe = [f"t{i}" for i in range(12)]
-    for _ in range(200):
-        primary = rng.sample(universe, rng.randint(0, 12))
-        o1 = rng.sample(universe, rng.randint(0, 12))
-        o2 = rng.sample(universe, rng.randint(0, 12))
-        k = rng.randint(1, 12)
-        got = intersection_set(
-            ranked("degree", primary), (ranked("closeness", o1), ranked("pagerank", o2)), k
-        )
-        brute = [t for t in primary[:k] if t in set(o1) and t in set(o2)]
-        assert got == brute
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +180,58 @@ def test_expand_provenance_and_scores():
         assert result.borda_scores[term] > 0
         assert set(result.provenance[term]) <= {"degree", "closeness", "pagerank"}
         assert result.provenance[term]
+
+
+def test_intersection_follows_primary_order():
+    # The paper intersects each list with the other two; on one table's
+    # lists that keeps every term of the window, in that source's own order.
+    table = fixture_table()
+    lists = source_term_lists(table, "zzz", stopwords=frozenset())
+    for source, ranked_terms in term_lists(table).items():
+        assert lists[source].terms == ranked_terms.terms[:100]
+
+
+def test_intersection_respects_k_window():
+    table = fixture_table()
+    lists = term_lists(table)
+    for k in range(1, len(lists["degree"].terms) + 2):
+        windows = [lists[s].terms[:k] for s in ("degree", "closeness", "pagerank")]
+        fused = brute_force_borda(windows)
+        result = expand_query(table, "zzz", m=len(fused), stopwords=frozenset(), k=k)
+        assert result.qe_terms == [t for t, _ in fused]
+        assert result.borda_scores == dict(fused)
+        for term in result.qe_terms:
+            assert result.provenance[term] == [
+                s for s, w in zip(("degree", "closeness", "pagerank"), windows) if term in w
+            ]
+        windowed = source_term_lists(table, "zzz", stopwords=frozenset(), k=k)
+        assert [windowed[s].terms for s in ("degree", "closeness", "pagerank")] == windows
+
+
+def test_intersection_is_subset_of_primary_prefix(rng):
+    # Brute-force the paper's intersection (each list's top-k window, keeping
+    # the terms found in both other lists) on random graphs, some with titles
+    # that collapse to one term, and compare it with the windows used.
+    universe = [f"t{i}" for i in range(12)] + ["t1 (film)", "t2 (band)"]
+    sources = ("degree", "closeness", "pagerank")
+    for _ in range(200):
+        titles = rng.sample(universe, rng.randint(1, len(universe)))
+        adjacency = {t: [x for x in titles if x != t and rng.random() < 0.3] for t in titles}
+        table = build_table(make_subgraph(adjacency))
+        lists = {s: ranked_terms.terms for s, ranked_terms in term_lists(table).items()}
+        k = rng.randint(1, 15)
+        windowed = source_term_lists(table, "zzz", stopwords=frozenset(), k=k)
+        for source in sources:
+            first, second = (set(lists[s]) for s in sources if s != source)
+            brute = [t for t in lists[source][:k] if t in first and t in second]
+            assert windowed[source].terms == brute
+
+
+def test_window_rejects_k_below_one():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        expand_query(fixture_table(), "q", m=1, k=0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        source_term_lists(fixture_table(), "q", k=0)
 
 
 def test_source_term_lists_filter_and_label():

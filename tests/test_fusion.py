@@ -1,10 +1,11 @@
 """Weighted Borda fusion, URL normalization, adapters and metasearch runs."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from wikiqe.expand import RankedTermList
+from wikiqe.expand import RankedTermList, source_term_lists
 from wikiqe.fusion import (
     DEFAULT_ENGINES,
     SIX_SOURCE_WEIGHTS,
@@ -12,18 +13,20 @@ from wikiqe.fusion import (
     EngineError,
     FixtureEngineAdapter,
     FusionError,
-    HttpEngineAdapter,
+    GOLD_M,
     KnowledgeWeights,
     ResultList,
     SearchHit,
     engine_weight,
+    gold_source_lists,
     gold_variants,
-    meta_prf_gold,
     normalize_url,
     run_mse,
     serp_fixture_name,
     wbf_merge,
 )
+
+from test_expand import fixture_table
 
 
 def result_list(engine, query, urls):
@@ -226,28 +229,15 @@ def test_fixture_adapter_respects_limit(tmp_path):
     assert len(rl.entries) == 3
 
 
-def test_http_adapter_with_stub_transport():
-    def transport(params, headers):
-        assert params == {"q": "hello", "count": 5}
-        assert headers["Authorization"] == "Bearer k3y"
-        return {"results": [{"url": "HTTPS://X.org/a", "title": "A"}]}
-
-    adapter = HttpEngineAdapter("https://api.example/search", api_key="k3y", transport=transport)
-    rl = adapter.search("custom", "hello", 5)
-    assert rl.entries == [SearchHit(1, "https://x.org/a", "A")]
-
-
-def test_http_adapter_wraps_failures():
-    def transport(params, headers):
-        raise OSError("connection reset")
-
-    adapter = HttpEngineAdapter("https://api.example/search", transport=transport)
-    with pytest.raises(EngineError, match="connection reset"):
-        adapter.search("custom", "hello", 5)
+@pytest.mark.parametrize("bad_url", ["http://x.org:99999/p", 5])
+def test_fixture_adapter_bad_url_names_the_file(tmp_path, bad_url):
+    write_serp(tmp_path, "google", "q", ["https://a/1", bad_url])
+    with pytest.raises(EngineError, match=serp_fixture_name("google", "q")):
+        FixtureEngineAdapter(tmp_path).search("google", "q", 10)
 
 
 # ---------------------------------------------------------------------------
-# run_mse / meta_prf_gold
+# run_mse / gold standard
 # ---------------------------------------------------------------------------
 
 def test_run_mse_single_engine_single_source_equals_plain_merge(tmp_path):
@@ -328,25 +318,40 @@ def test_gold_variants_use_top_m_terms():
     assert variants["wordnet"] == "adolescent alcoholism stripling"
 
 
-def test_meta_prf_gold_top_k_and_determinism(tmp_path, rng):
-    urls = [f"https://gold{i}.org/" for i in range(25)]
-    sources = [
-        RankedTermList("degree", ["ethanol"]),
-        RankedTermList("closeness", ["addiction"]),
-    ]
-    variants = gold_variants("adolescent alcoholism", sources, m=10)
-    engines = [EngineConfig("google", 30), EngineConfig("bing", 20)]
-    for engine in engines:
-        for variant in variants.values():
-            write_serp(tmp_path, engine.engine_id, variant, rng.sample(urls, 12))
+def test_run_mse_bad_serp_url_drops_only_that_list(tmp_path):
+    write_serp(tmp_path, "google", "q x", ["https://u/1", "https://u/2"])
+    write_serp(tmp_path, "bing", "q x", ["https://u/3", "http://x.org:99999/p"])
     adapter = FixtureEngineAdapter(tmp_path)
-    weights = KnowledgeWeights(degree=30, closeness=20)
+    engines = [EngineConfig("google", 30), EngineConfig("bing", 20)]
+    outcome = run_mse(adapter, {"degree": "q x"}, engines, KnowledgeWeights(degree=30))
+    assert outcome.fused.urls() == ["https://u/1", "https://u/2"]
+    assert len(outcome.failures) == 1
+    assert outcome.failures[0].startswith("bing/degree: malformed SERP fixture")
+    assert "Port out of range" in outcome.failures[0]
 
-    first = meta_prf_gold(adapter, "adolescent alcoholism", sources, engines, weights, k=5)
-    second = meta_prf_gold(adapter, "adolescent alcoholism", sources, engines, weights, k=5)
-    assert first == second
-    assert len(first) == 5
 
-    oversized = meta_prf_gold(adapter, "adolescent alcoholism", sources, engines, weights, k=500)
-    fused_all = run_mse(adapter, variants, engines, weights).fused.urls()
-    assert oversized == fused_all
+FIXTURE_DICTS = {
+    name: Path(__file__).resolve().parent.parent / "fixtures" / "dicts" / f"{name}.txt"
+    for name in ("wordnet", "wikisynonyms", "moby")
+}
+
+
+def test_gold_source_lists_cover_weighted_sources_in_order():
+    table = fixture_table()
+    lists = gold_source_lists(table, "adolescent alcoholism", SIX_SOURCE_WEIGHTS, FIXTURE_DICTS)
+    assert [ranked.source for ranked in lists] == [
+        "degree", "closeness", "pagerank", "wordnet", "wikisynonyms", "moby",
+    ]
+    graph = source_term_lists(table, "adolescent alcoholism")
+    assert lists[:3] == list(graph.values())
+    for ranked in lists[3:]:
+        assert 0 < len(ranked.terms) <= GOLD_M
+
+
+def test_gold_source_lists_skip_zero_weights_and_need_dictionaries():
+    table = fixture_table()
+    weights = KnowledgeWeights(closeness=1, moby=1)
+    lists = gold_source_lists(table, "adolescent alcoholism", weights, FIXTURE_DICTS)
+    assert [ranked.source for ranked in lists] == ["closeness", "moby"]
+    with pytest.raises(FusionError, match="'moby' has weight > 0 but no dictionary"):
+        gold_source_lists(table, "adolescent alcoholism", weights, {})

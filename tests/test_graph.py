@@ -27,6 +27,8 @@ def test_normalize_is_idempotent():
         "C%2B%2B_(programming_language)",
         "Java (programming language)",
         "café OLE",
+        # nine levels of percent-encoding; decoding used to stop after eight
+        "%" + "25" * 9 + "41",
     ]
     for raw in samples:
         once = normalize_title(raw)
@@ -240,6 +242,8 @@ def test_loads_rejects_malformed_lines():
     ("a\t0\tb|ghost\nb\t1\t\n", None, r"line 1: link to 'ghost', which has no record"),
     ("a\t0\tb\nb\t5\t\n", 3, "line 2: hop 5 exceeds bound 3"),
     ("a\t0\tb\nb\t-1\t\n", None, "line 2: negative hop -1"),
+    # a hop longer than the shortest path used to load unchecked
+    ("a\t0\tb\nb\t7\t\n", None, "line 2: 'b' at hop 7, but 'a' at hop 0 links to it"),
 ])
 def test_loads_rejects_inconsistent_records(text, hop_bound, message):
     with pytest.raises(GraphError, match=message):
