@@ -1,10 +1,10 @@
 """Turn centrality rankings into query-expansion terms.
 
-The three node lists are intersected against each other (each list takes
-one turn as the primary ordering), fused with Borda-count voting,
-stripped of query words and stopwords, and the top-m survivors become
-the expansion. A thesaurus baseline with first-come-first-served synonym
-picking is shown for contrast.
+The top-k window of each of the three node rankings (degree, closeness,
+PageRank) is fused with Borda-count voting, stripped of query words and
+stopwords, and the top-m survivors become the expansion. A thesaurus
+baseline with first-come-first-served synonym picking is shown for
+contrast.
 """
 
 from pathlib import Path

@@ -26,8 +26,7 @@ from wikiqe.fusion import (  # noqa: E402
     gold_variants,
     serp_fixture_name,
 )
-from wikiqe.ingest import CrawlConfig, PageCache, PageRecord, WikiSource  # noqa: E402
-from wikiqe.text import default_stopwords, query_terms  # noqa: E402
+from wikiqe.ingest import CrawlConfig, PageCache, PageRecord, WikiSource, search_key  # noqa: E402
 
 FIXTURES = REPO / "fixtures"
 SERP_LENGTH = 200
@@ -115,10 +114,6 @@ TOPIC_NODES = {
         "student engagement", "culturally relevant teaching", "inclusion (education)",
     ],
 }
-
-
-def search_key(query: str) -> str:
-    return " ".join(query_terms(query, default_stopwords()))
 
 
 def build_snapshot() -> None:

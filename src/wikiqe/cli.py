@@ -31,7 +31,7 @@ from .fusion import (
     run_mse,
 )
 from .graph import GraphError
-from .ingest import IngestError, WikiSource
+from .ingest import IngestError, WikiSource, search_key
 from .metrics import (
     NDCG_CUTOFFS,
     PRECISION_CUTOFFS,
@@ -210,16 +210,19 @@ def cmd_bench(args) -> int:
     stopwords = _stopwords(config)
     source = _source(config)
 
+    graphs = {}  # by search key; a failed crawl is not kept, so each query reports it
     rows = []
     for query in queries:
         try:
-            graph = source.build_graph(query, config.crawl)
+            key = search_key(query)
+            if key not in graphs:
+                graphs[key] = source.build_graph(query, config.crawl)
         except IngestError as exc:
             print(f"skipping {query!r}: {exc}", file=sys.stderr)
             continue
 
         def qe_stage():
-            best = graph.select_best_concept()
+            best = graphs[key].select_best_concept()
             table = build_table(best, config.pagerank)
             return expand_query(table, query, args.m, stopwords)
 

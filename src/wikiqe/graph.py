@@ -19,9 +19,10 @@ __all__ = [
     "ConceptSubgraph",
 ]
 
-# Characters that would break the line-oriented serialization format.
-# MediaWiki forbids all three in article titles anyway.
-_FORBIDDEN = ("\t", "\n", "|")
+# Characters that would break the line-oriented serialization format: the
+# field and link separators, and every line boundary ``str.splitlines``
+# breaks on. MediaWiki titles never contain them.
+_FORBIDDEN = frozenset("\t|\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 class GraphError(Exception):
@@ -92,7 +93,6 @@ class OntologyGraph:
         self.roots: list[str] = []
         self._hops: dict[str, int] = {}
         self._adjacency: dict[str, list[str]] = {}
-        self._edge_set: set[tuple[str, str]] = set()
         for root in roots:
             self._check_title(root)
             if root not in self._hops:
@@ -104,7 +104,7 @@ class OntologyGraph:
     def _check_title(title: str) -> None:
         if not title:
             raise GraphError("empty concept title")
-        if any(ch in title for ch in _FORBIDDEN):
+        if not _FORBIDDEN.isdisjoint(title):
             raise GraphError(f"title contains reserved character: {title!r}")
 
     # ------------------------------------------------------------------
@@ -115,7 +115,8 @@ class OntologyGraph:
         """Insert a page and its outgoing links at the given hop distance.
 
         Targets land at ``hop + 1`` (or keep a smaller hop already seen;
-        decreases propagate to descendants). Re-adding a page is a no-op.
+        decreases propagate to descendants). Re-adding a page adds only the
+        links it does not have yet.
         Raises GraphError when the insertion would place a node past the
         hop bound, which indicates a crawl-frontier bug.
         """
@@ -127,15 +128,15 @@ class OntologyGraph:
             )
         self._check_title(page)
         self._insert(page, hop)
+        links = self._adjacency[page]
         for target in outlinks:
             self._check_title(target)
             if target == page:
                 continue
+            # After this, hop(target) <= hop(page) + 1: the new edge needs no walk.
             self._insert(target, self._hops[page] + 1)
-            if (page, target) not in self._edge_set:
-                self._edge_set.add((page, target))
-                self._adjacency[page].append(target)
-                self._relax(target)
+            if target not in links:
+                links.append(target)
 
     def _insert(self, title: str, hop: int) -> None:
         known = self._hops.get(title)
@@ -143,20 +144,17 @@ class OntologyGraph:
             self._hops[title] = hop
             self._adjacency[title] = []
         elif hop < known:
+            # Propagate the decrease along existing edges so annotations stay
+            # equal to true shortest-path distances regardless of insert order.
             self._hops[title] = hop
-            self._relax(title)
-
-    def _relax(self, start: str) -> None:
-        # Propagate a hop decrease along existing edges so annotations stay
-        # equal to true shortest-path distances regardless of insert order.
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            base = self._hops[node]
-            for nxt in self._adjacency[node]:
-                if base + 1 < self._hops[nxt]:
-                    self._hops[nxt] = base + 1
-                    queue.append(nxt)
+            queue = deque([title])
+            while queue:
+                node = queue.popleft()
+                base = self._hops[node]
+                for nxt in self._adjacency[node]:
+                    if base + 1 < self._hops[nxt]:
+                        self._hops[nxt] = base + 1
+                        queue.append(nxt)
 
     # ------------------------------------------------------------------
     # queries
@@ -173,7 +171,7 @@ class OntologyGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edge_set)
+        return sum(map(len, self._adjacency.values()))
 
     def hop(self, title: str) -> int:
         return self._hops[title]
@@ -192,17 +190,20 @@ class OntologyGraph:
         """
         if root not in self._hops:
             raise GraphError(f"unknown root concept: {root!r}")
-        order: list[str] = [root]
+        order = self._closure(root)
+        adjacency = {u: list(self._adjacency[u]) for u in order}
+        return ConceptSubgraph(root=root, nodes=tuple(order), adjacency=adjacency)
+
+    def _closure(self, root: str) -> list[str]:
+        # Nodes reachable from root, in breadth-first discovery order.
+        order = [root]
         seen = {root}
-        i = 0
-        while i < len(order):
-            for nxt in self._adjacency[order[i]]:
+        for node in order:
+            for nxt in self._adjacency[node]:
                 if nxt not in seen:
                     seen.add(nxt)
                     order.append(nxt)
-            i += 1
-        adjacency = {u: list(self._adjacency[u]) for u in order}
-        return ConceptSubgraph(root=root, nodes=tuple(order), adjacency=adjacency)
+        return order
 
     def select_best_concept(self) -> ConceptSubgraph:
         """Pick the root whose closure has the most edges.
@@ -212,14 +213,11 @@ class OntologyGraph:
         """
         if not self.roots:
             raise GraphError("graph has no roots")
-        best = None
-        best_key = None
-        for position, root in enumerate(self.roots):
-            sub = self.isolate_subgraph(root)
-            key = (-sub.graph_degree, position, root)
-            if best_key is None or key < best_key:
-                best, best_key = sub, key
-        return best
+        _, _, winner = min(
+            (-sum(len(self._adjacency[u]) for u in self._closure(root)), position, root)
+            for position, root in enumerate(self.roots)
+        )
+        return self.isolate_subgraph(winner)
 
     # ------------------------------------------------------------------
     # serialization: one line per node, "title<TAB>hop<TAB>out1|out2|..."
@@ -273,6 +271,7 @@ class OntologyGraph:
             graph._insert(title, hop)
             line_of.setdefault(title, lineno)
         for lineno, title, _, outlinks in records:
+            targets = graph._adjacency[title]
             for target in outlinks:
                 if target not in graph._hops:
                     raise GraphError(f"line {lineno}: link to {target!r}, which has no record")
@@ -281,7 +280,6 @@ class OntologyGraph:
                         f"line {line_of[target]}: {target!r} at hop {graph._hops[target]},"
                         f" but {title!r} at hop {graph._hops[title]} links to it"
                     )
-                if (title, target) not in graph._edge_set and title != target:
-                    graph._edge_set.add((title, target))
-                    graph._adjacency[title].append(target)
+                if target != title and target not in targets:
+                    targets.append(target)
         return graph

@@ -28,7 +28,7 @@ import secrets
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from html.parser import HTMLParser
 from pathlib import Path
 
@@ -42,6 +42,7 @@ __all__ = [
     "CrawlConfig",
     "PageRecord",
     "PageCache",
+    "search_key",
     "WikiClient",
     "WikiSource",
     "SNAPSHOT_ENV",
@@ -76,7 +77,7 @@ class FetchError(IngestError):
 class CrawlConfig:
     hop_bound: int = 3
     max_links_per_page: int = 100
-    max_total_nodes: int = 10_000
+    max_total_nodes: int = 10_000  # soft: passed by up to max_links_per_page - 1
     request_interval: float = 0.5  # seconds between outbound requests
     candidate_count: int = 5
 
@@ -102,14 +103,15 @@ class PageRecord:
     def truncated(self, limit: int) -> "PageRecord":
         if len(self.outlinks) <= limit:
             return self
-        return PageRecord(
-            title=self.title,
-            outlinks=self.outlinks[:limit],
-            fetched_at=self.fetched_at,
-            source=self.source,
-            missing=self.missing,
-            disambiguation=self.disambiguation,
-        )
+        return replace(self, outlinks=self.outlinks[:limit])
+
+
+def search_key(user_query: str) -> str:
+    """The search string for a query, its content words: "a b" and "a or b" share one."""
+    terms = query_terms(user_query, default_stopwords())
+    if not terms:
+        raise IngestError(f"query is empty after stopword removal: {user_query!r}")
+    return " ".join(terms)
 
 
 def _hashed(name: str) -> str:
@@ -385,11 +387,7 @@ class WikiSource:
     def resolve_candidates(self, user_query: str, config: CrawlConfig) -> list[str]:
         """Candidate concepts for a query: top search hits, with
         disambiguation pages replaced by their listed target articles."""
-        terms = query_terms(user_query, default_stopwords())
-        if not terms:
-            raise IngestError(f"query is empty after stopword removal: {user_query!r}")
-        search_key = " ".join(terms)
-        titles = self.search(search_key, config.candidate_count)
+        titles = self.search(search_key(user_query), config.candidate_count)
         candidates: list[str] = []
         for title in titles:
             record = self.fetch_page(title, config)
@@ -412,13 +410,14 @@ class WikiSource:
         """Breadth-first link crawl from the candidate roots.
 
         Pages below the hop bound are expanded; pages at the bound stay
-        leaves. Expansion stops early once the graph reaches
-        ``max_total_nodes``. Deterministic for a fixed snapshot.
+        leaves. Expansion stops once the graph reaches ``max_total_nodes``,
+        but the page expanded last adds all its outlinks, so the graph can
+        pass that soft cap by up to ``max_links_per_page - 1`` nodes.
+        Deterministic for a fixed snapshot.
         """
         roots = self.resolve_candidates(user_query, config)
         graph = OntologyGraph(roots, hop_bound=config.hop_bound)
         frontier: deque[tuple[str, int]] = deque((root, 0) for root in graph.roots)
-        queued = set(graph.roots)
         while frontier:
             title, hop = frontier.popleft()
             if hop >= config.hop_bound:
@@ -426,9 +425,8 @@ class WikiSource:
             if graph.node_count >= config.max_total_nodes:
                 break
             record = self.fetch_page(title, config)
+            # Every queued title is a graph node, so these are the ones to queue.
+            new = [target for target in dict.fromkeys(record.outlinks) if target not in graph]
             graph.add_page(title, record.outlinks, hop)
-            for target in record.outlinks:
-                if target not in queued:
-                    queued.add(target)
-                    frontier.append((target, hop + 1))
+            frontier.extend((target, hop + 1) for target in new)
         return graph

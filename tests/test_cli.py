@@ -13,7 +13,7 @@ from conftest import hashed_name
 from wikiqe.cli import main
 from wikiqe.config import RunConfig, benchmark_queries, query_slug
 from wikiqe.fusion import SIX_SOURCE_WEIGHTS
-from wikiqe.ingest import PageCache, PageRecord
+from wikiqe.ingest import PageCache, PageRecord, WikiSource, search_key
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -342,6 +342,24 @@ def test_bench_skips_only_queries_hit_by_a_truncated_cache_record(tmp_path, caps
     assert any(line.startswith("skipping 'adolescent alcoholism'") for line in skipped)
     assert all(str(page) in line for line in skipped)
     assert len(out.splitlines()) == 1 + 30 - len(skipped)
+
+
+def test_bench_crawls_each_search_key_once(tmp_path, capsys, monkeypatch):
+    crawled = []
+    build_graph = WikiSource.build_graph
+
+    def counting_build_graph(self, query, config):
+        crawled.append(search_key(query))
+        return build_graph(self, query, config)
+
+    monkeypatch.setattr(WikiSource, "build_graph", counting_build_graph)
+    code, out, _ = run_cli(
+        capsys, "bench", "--queries", str(FIXTURES / "queries.txt"), "--config", CONFIG
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 30
+    # The plain, AND and OR form of each query share one search key.
+    assert len(crawled) == len(set(crawled)) == 10
 
 
 def test_bench_term_outputs_stable_across_runs(tmp_path, capsys):

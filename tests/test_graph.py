@@ -68,6 +68,10 @@ def test_re_adding_is_idempotent():
     before = (graph.node_count, graph.edge_count, graph.dumps())
     graph.add_page("a", ["b", "c"], hop=0)
     assert (graph.node_count, graph.edge_count, graph.dumps()) == before
+    # Re-adding with other links appends only the ones the page lacks.
+    graph.add_page("a", ["c", "d", "b", "d"], hop=0)
+    assert graph.outlinks("a") == ["b", "c", "d"]
+    assert graph.edge_count == 3
 
 
 def test_duplicate_and_self_links_collapse():
@@ -198,6 +202,16 @@ def test_select_beats_every_other_root_brute_force(rng):
         best = graph.select_best_concept()
         for root in graph.roots:
             assert best.graph_degree >= graph.isolate_subgraph(root).graph_degree
+        # The winner has the most edges (ties: the earlier root), and the
+        # result is exactly its closure.
+        ranked = sorted(
+            (-graph.isolate_subgraph(root).graph_degree, position, root)
+            for position, root in enumerate(graph.roots)
+        )
+        winner = graph.isolate_subgraph(ranked[0][2])
+        assert (best.root, best.nodes, best.adjacency) == (
+            winner.root, winner.nodes, winner.adjacency
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -254,3 +268,17 @@ def test_reserved_characters_rejected():
     graph = OntologyGraph(["a"], hop_bound=2)
     with pytest.raises(GraphError):
         graph.add_page("a", ["bad|title"], hop=0)
+
+
+# Every line boundary of str.splitlines, which loads uses to split records.
+@pytest.mark.parametrize(
+    "char", ["\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_line_boundaries_in_titles_rejected(char):
+    assert len(f"b{char}c".splitlines()) == 2
+    graph = OntologyGraph(["a"], hop_bound=2)
+    with pytest.raises(GraphError, match="reserved character"):
+        graph.add_page("a", [f"b{char}c"], hop=0)
+    with pytest.raises(GraphError, match="reserved character"):
+        OntologyGraph([f"b{char}c"])
+    assert graph.dumps() == "a\t0\t\n"

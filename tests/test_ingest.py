@@ -305,11 +305,40 @@ def test_build_graph_respects_node_budget(tmp_path):
     pages = {"hub": [f"n{i}" for i in range(50)]}
     pages.update({f"n{i}": [f"m{i}"] for i in range(50)})
     source = make_snapshot(tmp_path, searches={"hub": ["hub"]}, pages=pages)
-    graph = source.build_graph("hub", CrawlConfig(hop_bound=3, max_total_nodes=30))
+    config = CrawlConfig(hop_bound=3, max_total_nodes=30)
+    graph = source.build_graph("hub", config)
     # The budget stops expansion (hub's links land in one batch), so the
     # second level never fans out.
     assert graph.node_count == 51
     assert all(hop <= 1 for hop in graph.nodes.values())
+    # The cap is soft: the last page expanded adds all its outlinks, so
+    # the graph passes it by at most max_links_per_page - 1, as here.
+    assert graph.node_count <= config.max_total_nodes + config.max_links_per_page - 1
+    tight = CrawlConfig(hop_bound=3, max_total_nodes=2, max_links_per_page=50)
+    assert source.build_graph("hub", tight).node_count == 2 + 50 - 1
+
+
+def test_build_graph_collapses_repeated_self_and_back_links(tmp_path):
+    # r repeats a and links to itself; a links back to the queued r and
+    # repeats c; b links back to a, which is queued but not yet expanded.
+    messy = {"r": ["a", "b", "a", "r", "b"], "a": ["a", "b", "r", "c", "c"],
+             "b": ["a", "b"], "c": []}
+    clean = {"r": ["a", "b"], "a": ["b", "r", "c"], "b": ["a"], "c": []}
+    dumps = []
+    for name, pages in (("messy", messy), ("clean", clean)):
+        source = make_snapshot(tmp_path / name, searches={"rocket": ["r"]}, pages=pages)
+        fetched = []
+        fetch_page = source.fetch_page
+
+        def recording_fetch_page(title, config):
+            fetched.append(title)
+            return fetch_page(title, config)
+
+        source.fetch_page = recording_fetch_page
+        dumps.append(source.build_graph("rocket", CrawlConfig(hop_bound=3)).dumps())
+        # Resolution reads r once; the crawl then expands each page once.
+        assert fetched == ["r", "r", "a", "b", "c"]
+    assert dumps[0] == dumps[1] == "r\t0\ta|b\na\t1\tb|r|c\nb\t1\ta\nc\t2\t\n"
 
 
 def test_build_graph_never_exceeds_hop_bound(tmp_path):

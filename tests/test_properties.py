@@ -1,5 +1,6 @@
 """Property tests: Borda permutation invariance, normalize_url idempotence,
-graph dumps/loads round-trip and the normalize_title fixpoint."""
+graph dumps/loads round-trip, add_page invariants and the normalize_title
+fixpoint."""
 
 from collections import deque
 
@@ -95,6 +96,46 @@ def test_dumps_loads_round_trip(graph):
     clone = OntologyGraph.loads(text, hop_bound=graph.hop_bound)
     assert clone.dumps() == text
     assert clone.roots == graph.roots
+    assert clone.nodes == graph.nodes
+
+
+@st.composite
+def add_page_sequences(draw):
+    """Roots, a hop bound and valid add_page calls in any order: pages
+    repeat, links repeat or point back at the page, and a page at the hop
+    bound has no links."""
+    names = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, unique=True))
+    roots = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+    hop_bound = draw(st.integers(1, 4))
+    calls = []
+    for _ in range(draw(st.integers(0, 12))):
+        page = draw(st.sampled_from(names))
+        hop = draw(st.integers(0 if page in roots else 1, hop_bound))
+        links = [] if hop == hop_bound else draw(st.lists(st.sampled_from(names), max_size=6))
+        calls.append((page, links, hop))
+    return roots, hop_bound, calls
+
+
+@settings
+@hypothesis.given(add_page_sequences())
+# b gets its link at hop 2 and only then drops to hop 1, so c must follow.
+@hypothesis.example((["r"], 3, [("b", ["c"], 2), ("r", ["b", "b", "r"], 0)]))
+def test_add_page_keeps_hops_consistent_and_edges_distinct(sequence):
+    roots, hop_bound, calls = sequence
+    graph = OntologyGraph(roots, hop_bound=hop_bound)
+    expected: dict[str, list[str]] = {}
+    for page, links, hop in calls:
+        graph.add_page(page, links, hop)
+        known = expected.setdefault(page, [])
+        known.extend(t for t in dict.fromkeys(links) if t != page and t not in known)
+    assert all(graph.hop(root) == 0 for root in roots)
+    for page in graph.nodes:
+        assert graph.outlinks(page) == expected.get(page, [])
+        assert all(graph.hop(t) <= graph.hop(page) + 1 for t in graph.outlinks(page))
+    assert graph.edge_count == len({(p, t) for p, links, _ in calls for t in links if t != p})
+    text = graph.dumps()
+    clone = OntologyGraph.loads(text, hop_bound=hop_bound)
+    assert clone.dumps() == text
     assert clone.nodes == graph.nodes
 
 
