@@ -286,12 +286,11 @@ def adolescent_variants() -> dict[str, str]:
     return gold_variants("adolescent alcoholism", lists)
 
 
-def build_serps() -> None:
+def build_serps(variants: dict[str, str]) -> None:
     serp_dir = FIXTURES / "serp"
     serp_dir.mkdir(parents=True, exist_ok=True)
     pool_rng = random.Random(1203)
     pool = url_pool(pool_rng)
-    variants = adolescent_variants()
     count = 0
     for engine in DEFAULT_ENGINES:
         for source_name, variant in sorted(variants.items()):
@@ -321,11 +320,10 @@ def build_serps() -> None:
 # judgments, queries, config
 # ---------------------------------------------------------------------------
 
-def build_judgments() -> None:
+def build_judgments(variants: dict[str, str]) -> None:
     """Two judges over the top gold URLs for the reference query."""
     from wikiqe.fusion import FixtureEngineAdapter, run_mse
 
-    variants = adolescent_variants()
     adapter = FixtureEngineAdapter(FIXTURES / "serp")
     outcome = run_mse(adapter, variants, DEFAULT_ENGINES, SIX_SOURCE_WEIGHTS, cap=SERP_LENGTH)
     top = outcome.fused.urls()[:10]
@@ -360,8 +358,9 @@ def main() -> None:
     FIXTURES.mkdir(parents=True)
     build_snapshot()
     build_dictionaries()
-    build_serps()
-    build_judgments()
+    variants = adolescent_variants()
+    build_serps(variants)
+    build_judgments(variants)
     build_queries_and_config()
     print(f"basic queries covered: {len(BASIC_QUERIES)}")
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from pathlib import Path
 
@@ -48,20 +49,8 @@ from .text import default_stopwords, load_stopwords
 
 def _configure(args) -> RunConfig:
     config = RunConfig.load(args.config) if args.config else RunConfig()
-    if getattr(args, "preset", None):
-        config.apply_preset(args.preset)
-    if getattr(args, "weights", None):
-        try:
-            d, c, p = (int(v) for v in args.weights.split(","))
-        except ValueError:
-            raise SystemExit("--weights expects three integers: degree,closeness,pagerank")
-        config.weights = KnowledgeWeights(degree=d, closeness=c, pagerank=p)
-    if getattr(args, "snapshot", None):
+    if args.snapshot:
         config.snapshot_dir = Path(args.snapshot)
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "out", None):
-        config.output_dir = Path(args.out)
     return config
 
 
@@ -78,13 +67,32 @@ def _source(config: RunConfig) -> WikiSource:
     )
 
 
-def _pipeline_table(config: RunConfig, query: str):
-    """Common front half: crawl/load graph, pick concept, score it."""
-    source = _source(config)
-    graph = source.build_graph(query, config.crawl)
+def _best_table(config: RunConfig, graph):
+    """Pick the best concept of a crawled graph and score its subgraph."""
     best = graph.select_best_concept()
-    table = build_table(best, config.pagerank)
-    return graph, best, table
+    return best, build_table(best, config.pagerank)
+
+
+def _expand(config: RunConfig, graph, query: str, m: int, stopwords):
+    """The post-graph QE stage: ``expand`` prints it, ``bench`` times it."""
+    best, table = _best_table(config, graph)
+    return best, expand_query(table, query, m, stopwords)
+
+
+def _output_dir(args, config: RunConfig) -> Path:
+    out_dir = Path(args.out) if args.out else config.output_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def _write_report(out: str | None, text: str) -> None:
+    """Write ``text`` to the ``--out`` file and print its path, or to stdout."""
+    if out:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        Path(out).write_text(text, encoding="utf-8")
+        print(out)
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +101,10 @@ def _pipeline_table(config: RunConfig, query: str):
 
 def cmd_expand(args) -> int:
     config = _configure(args)
-    graph, best, table = _pipeline_table(config, args.query)
-    result = expand_query(table, args.query, args.m, _stopwords(config))
+    graph = _source(config).build_graph(args.query, config.crawl)
+    best, result = _expand(config, graph, args.query, args.m, _stopwords(config))
 
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    dump_path = config.output_dir / f"{query_slug(args.query)}.graph.txt"
+    dump_path = _output_dir(args, config) / f"{query_slug(args.query)}.graph.txt"
     dump_path.write_text(graph.dumps(), encoding="utf-8")
 
     print(f"query: {args.query}")
@@ -117,9 +124,20 @@ def cmd_gold(args) -> int:
     if args.k < 1:
         raise ValueError(f"k must be >= 1, got {args.k}")
     config = _configure(args)
+    if args.preset:
+        config.apply_preset(args.preset)
+    if args.weights:
+        try:
+            d, c, p = (int(v) for v in args.weights.split(","))
+        except ValueError:
+            raise SystemExit("--weights expects three integers: degree,closeness,pagerank")
+        config.weights = KnowledgeWeights(degree=d, closeness=c, pagerank=p)
+    if args.seed is not None:
+        config.seed = args.seed
     if config.serp_dir is None:
         raise FusionError("gold generation needs a SERP fixture directory (paths.serp_dir)")
-    _, _, table = _pipeline_table(config, args.query)
+    graph = _source(config).build_graph(args.query, config.crawl)
+    _, table = _best_table(config, graph)
     sources = gold_source_lists(
         table, args.query, config.weights, config.dictionaries, _stopwords(config), config.seed
     )
@@ -130,17 +148,16 @@ def cmd_gold(args) -> int:
         print(f"engine failure: {failure}", file=sys.stderr)
     gold_urls = outcome.fused.urls()[: args.k]
 
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    out_path = config.output_dir / f"{query_slug(args.query)}__gold_k{args.k}.urls"
+    out_dir = _output_dir(args, config)
+    out_path = out_dir / f"{query_slug(args.query)}__gold_k{args.k}.urls"
     out_path.write_text("".join(url + "\n" for url in gold_urls), encoding="utf-8")
-    fused_path = config.output_dir / f"{query_slug(args.query)}__fused.csv"
+    fused_path = out_dir / f"{query_slug(args.query)}__fused.csv"
     fused_path.write_text(outcome.fused.to_csv(), encoding="utf-8")
     print(out_path)
     return 0
 
 
 def cmd_eval(args) -> int:
-    config = _configure(args)
     runs_dir = Path(args.runs)
     gold_dir = Path(args.gold)
     judgments = JudgmentSet.from_csv(args.judgments) if args.judgments else None
@@ -190,13 +207,7 @@ def cmd_eval(args) -> int:
     for method in sorted(reports):
         body = reports[method].to_csv().splitlines()[1:]
         lines.extend(body)
-    output = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(output, encoding="utf-8")
-        print(args.out)
-    else:
-        sys.stdout.write(output)
+    _write_report(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -211,7 +222,9 @@ def cmd_bench(args) -> int:
     source = _source(config)
 
     graphs = {}  # by search key; a failed crawl is not kept, so each query reports it
-    rows = []
+    report = io.StringIO()
+    writer = csv.writer(report, lineterminator="\n")
+    writer.writerow(["query", "qe_seconds", "qe_terms"])
     for query in queries:
         try:
             key = search_key(query)
@@ -220,28 +233,9 @@ def cmd_bench(args) -> int:
         except IngestError as exc:
             print(f"skipping {query!r}: {exc}", file=sys.stderr)
             continue
-
-        def qe_stage():
-            best = graphs[key].select_best_concept()
-            table = build_table(best, config.pagerank)
-            return expand_query(table, query, args.m, stopwords)
-
-        result, seconds = timed(qe_stage)
-        rows.append((query, seconds, " | ".join(result.qe_terms)))
-
-    def write(handle):
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["query", "qe_seconds", "qe_terms"])
-        for query, seconds, terms in rows:
-            writer.writerow([query, f"{seconds:.6f}", terms])
-
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            write(handle)
-        print(args.out)
-    else:
-        write(sys.stdout)
+        (_, result), seconds = timed(_expand, config, graphs[key], query, args.m, stopwords)
+        writer.writerow([query, f"{seconds:.6f}", " | ".join(result.qe_terms)])
+    _write_report(args.out, report.getvalue())
     return 0
 
 
@@ -255,43 +249,47 @@ def cmd_queries(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_run_config(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON run-config file")
     parser.add_argument("--snapshot", help="snapshot directory (overrides WMS_SNAPSHOT_DIR)")
-    parser.add_argument("--preset", choices=["paper", "tuned"], help="weight preset")
-    parser.add_argument("--weights", help="graph weights as degree,closeness,pagerank")
-    parser.add_argument("--seed", type=int, help="seed for unranked-synonym sampling")
-    parser.add_argument("--out", help="output directory (expand/gold) or file (eval/bench)")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wikiqe", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    out_dir = "output directory (default: the config's output_dir)"
+    out_file = "CSV file to write instead of stdout"
 
     p = sub.add_parser("expand", help="expand a query via the concept graph")
     p.add_argument("query")
     p.add_argument("--m", type=int, default=2, help="number of QE terms (default 2)")
-    _add_common(p)
+    _add_run_config(p)
+    p.add_argument("--out", help=out_dir)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("gold", help="generate the fused pseudo-relevant gold set")
     p.add_argument("query")
     p.add_argument("--k", type=int, default=10, help="gold set size (default 10)")
     p.add_argument("--cap", type=int, default=200, help="per-list merge window (default 200)")
-    _add_common(p)
+    _add_run_config(p)
+    p.add_argument("--preset", choices=["paper", "tuned"], help="weight preset")
+    p.add_argument("--weights", help="graph weights as degree,closeness,pagerank")
+    p.add_argument("--seed", type=int, help="seed for unranked-synonym sampling")
+    p.add_argument("--out", help=out_dir)
     p.set_defaults(func=cmd_gold)
 
     p = sub.add_parser("eval", help="score run files against gold files")
     p.add_argument("--runs", required=True, help="dir of <query>__<method>.urls files")
     p.add_argument("--gold", required=True, help="dir of <query>.urls gold files")
     p.add_argument("--judgments", help="CSV of query,url,judge,grade rows")
-    _add_common(p)
+    p.add_argument("--out", help=out_file)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="time post-graph QE per query")
     p.add_argument("--queries", required=True, help="file with one query per line")
     p.add_argument("--m", type=int, default=2, help="number of QE terms (default 2)")
-    _add_common(p)
+    _add_run_config(p)
+    p.add_argument("--out", help=out_file)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("queries", help="print the 30 benchmark queries")
@@ -304,7 +302,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (IngestError, GraphError, FusionError, FileNotFoundError, ValueError) as exc:
+    except (IngestError, GraphError, FusionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

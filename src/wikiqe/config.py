@@ -40,10 +40,10 @@ BASIC_QUERIES = [
 ]
 
 
-def benchmark_queries(basics: list[str] | None = None) -> list[str]:
+def benchmark_queries() -> list[str]:
     """Expand each basic query three ways: plain, AND-joined, OR-joined."""
     queries = []
-    for basic in basics or BASIC_QUERIES:
+    for basic in BASIC_QUERIES:
         tokens = basic.split()
         queries.append(" ".join(tokens))
         queries.append(" and ".join(tokens))

@@ -1,4 +1,4 @@
-"""Metasearch merging: weighted Borda fuse over pluggable engine adapters.
+"""Metasearch merging: weighted Borda fuse over engine result lists.
 
 Each component engine returns a ranked result list per query variant.
 A list's Borda points (cap - rank + 1, within a top-``cap`` window) are
@@ -7,8 +7,9 @@ per-URL totals define the fused order. The same machinery generates the
 pseudo-relevance gold standard: fuse all six knowledge sources' expanded
 queries across all engines and declare the top-k fused URLs relevant.
 
-Engines are behind the EngineAdapter interface; the fixture adapter reads
-recorded SERP files so entire runs are reproducible offline.
+``run_mse`` reaches the engines through an adapter object with a
+``search`` method; ``FixtureEngineAdapter`` reads recorded SERP files so
+entire runs are reproducible offline.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "run_mse",
     "gold_variants",
     "gold_source_lists",
-    "EngineAdapter",
     "FixtureEngineAdapter",
     "serp_fixture_name",
     "DEFAULT_ENGINES",
@@ -226,13 +226,6 @@ def wbf_merge(lists: list[tuple[ResultList, float]], cap: int = 200) -> FusedLis
 # engine adapters
 # ---------------------------------------------------------------------------
 
-class EngineAdapter:
-    """Fetch a ranked result list from one engine for one query."""
-
-    def search(self, engine_id: str, query: str, limit: int) -> ResultList:
-        raise NotImplementedError
-
-
 def serp_fixture_name(engine_id: str, query: str) -> str:
     """Fixture filename for an (engine, query) pair: the query is hashed so
     arbitrary query strings stay filesystem-safe."""
@@ -240,7 +233,7 @@ def serp_fixture_name(engine_id: str, query: str) -> str:
     return f"{engine_id}__{digest}.json"
 
 
-class FixtureEngineAdapter(EngineAdapter):
+class FixtureEngineAdapter:
     """Reads recorded SERP JSON files from a directory.
 
     One file per (engine, query) pair, named by ``serp_fixture_name``:
@@ -275,7 +268,7 @@ class MseResult:
 
 
 def run_mse(
-    adapter: EngineAdapter,
+    adapter,
     query_variants: dict[str, str],
     engines: list[EngineConfig],
     weights: KnowledgeWeights,
@@ -283,6 +276,8 @@ def run_mse(
 ) -> MseResult:
     """Fetch every weighted source's expanded query on every engine and fuse.
 
+    ``adapter.search(engine_id, query, limit) -> ResultList`` returns one
+    engine's top-``limit`` results for one query, or raises EngineError.
     A failing fetch excludes just that list and is reported in
     ``failures``; if nothing at all could be fetched the run errors out.
     """

@@ -190,7 +190,9 @@ class OntologyGraph:
         """
         if root not in self._hops:
             raise GraphError(f"unknown root concept: {root!r}")
-        order = self._closure(root)
+        return self._subgraph(root, self._closure(root))
+
+    def _subgraph(self, root: str, order: list[str]) -> ConceptSubgraph:
         adjacency = {u: list(self._adjacency[u]) for u in order}
         return ConceptSubgraph(root=root, nodes=tuple(order), adjacency=adjacency)
 
@@ -209,15 +211,18 @@ class OntologyGraph:
         """Pick the root whose closure has the most edges.
 
         Ties go to the root listed earlier, then to the lexicographically
-        smaller title, so selection is deterministic.
+        smaller title, so selection is deterministic. Each root's closure
+        is walked once; the winner's subgraph is built from that walk.
         """
         if not self.roots:
             raise GraphError("graph has no roots")
-        _, _, winner = min(
-            (-sum(len(self._adjacency[u]) for u in self._closure(root)), position, root)
-            for position, root in enumerate(self.roots)
-        )
-        return self.isolate_subgraph(winner)
+
+        def ranked(position: int, root: str):
+            order = self._closure(root)
+            return -sum(len(self._adjacency[u]) for u in order), position, root, order
+
+        _, _, winner, order = min(ranked(position, root) for position, root in enumerate(self.roots))
+        return self._subgraph(winner, order)
 
     # ------------------------------------------------------------------
     # serialization: one line per node, "title<TAB>hop<TAB>out1|out2|..."

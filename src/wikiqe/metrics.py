@@ -170,8 +170,7 @@ class JudgmentSet:
 class EvalReport:
     """Metric values for one method across a query set.
 
-    ``values[query][(metric, cutoff)]`` holds P/S/NDCG scores; runtime
-    rows use metric "time" with cutoff 0.
+    ``values[query][(metric, cutoff)]`` holds P/S/NDCG scores.
     """
 
     method: str

@@ -1,5 +1,7 @@
 """End-to-end CLI runs against the shipped fixture bundle."""
 
+import csv
+import io
 import json
 import os
 import shutil
@@ -124,12 +126,6 @@ def test_snapshot_expand_does_not_import_requests(tmp_path):
     assert done.stdout.splitlines()[-1] == "0 False"
 
 
-def test_expand_weights_flag_rejects_garbage(tmp_path, capsys):
-    with pytest.raises(SystemExit):
-        main(["expand", QUERY, "--weights", "a,b", "--config", CONFIG,
-              "--out", str(tmp_path)])
-
-
 # ---------------------------------------------------------------------------
 # gold
 # ---------------------------------------------------------------------------
@@ -203,6 +199,14 @@ def test_gold_is_deterministic(tmp_path, capsys):
             for name in ("adolescent_alcoholism__gold_k10.urls", "adolescent_alcoholism__fused.csv")
         ])
     assert files[0] == files[1]
+
+
+def test_gold_weights_flag_rejects_garbage(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gold", QUERY, "--weights", "a,b", "--config", CONFIG,
+              "--out", str(tmp_path)])
+    assert exc.value.code == "--weights expects three integers: degree,closeness,pagerank"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gold_without_engines_errors(tmp_path, capsys):
@@ -362,6 +366,34 @@ def test_bench_crawls_each_search_key_once(tmp_path, capsys, monkeypatch):
     assert len(crawled) == len(set(crawled)) == 10
 
 
+def test_bench_writes_out_file(tmp_path, capsys):
+    queries = str(FIXTURES / "queries.txt")
+    _, stdout_report, _ = run_cli(capsys, "bench", "--queries", queries, "--config", CONFIG)
+    out_file = tmp_path / "nested" / "bench.csv"
+    code, out, err = run_cli(
+        capsys, "bench", "--queries", queries, "--config", CONFIG, "--out", str(out_file)
+    )
+    assert code == 0
+    assert out == f"{out_file}\n"
+    assert err == ""
+
+    def without_seconds(report):
+        rows = list(csv.reader(io.StringIO(report)))
+        return [[query, terms] for query, _, terms in rows]
+
+    written = out_file.read_text(encoding="utf-8")
+    assert len(written.splitlines()) == 1 + 30
+    assert without_seconds(written) == without_seconds(stdout_report)
+
+
+def test_bench_queries_directory_is_an_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "bench", "--queries", str(tmp_path), "--config", CONFIG)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert f"Is a directory: '{tmp_path}'" in err
+
+
 def test_bench_term_outputs_stable_across_runs(tmp_path, capsys):
     def run():
         _, out, _ = run_cli(
@@ -370,6 +402,30 @@ def test_bench_term_outputs_stable_across_runs(tmp_path, capsys):
         return [line.rsplit(",", 1)[-1] for line in out.splitlines()[1:]]
 
     assert run() == run()
+
+
+# ---------------------------------------------------------------------------
+# per-command flags
+# ---------------------------------------------------------------------------
+
+WEIGHT_FLAGS = [("--preset", "tuned"), ("--weights", "1,2,3"), ("--seed", "7")]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["expand", QUERY, "--config", CONFIG], f) for f in WEIGHT_FLAGS]
+    + [(["bench", "--queries", str(FIXTURES / "queries.txt"), "--config", CONFIG], f)
+       for f in WEIGHT_FLAGS]
+    + [(["eval", "--runs", ".", "--gold", "."], f)
+       for f in [("--config", CONFIG), ("--snapshot", str(FIXTURES / "snapshot"))]
+       + WEIGHT_FLAGS],
+    ids=lambda value: value[0] if isinstance(value, list) else value[0].lstrip("-"),
+)
+def test_commands_reject_flags_their_flow_does_not_read(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + list(flag))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
