@@ -13,9 +13,6 @@ from wikiqe import (
     JudgmentSet,
     cohens_kappa,
     improvement_ratios,
-    ndcg_at,
-    precision_at,
-    success_at,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -38,14 +35,8 @@ gold_set = {url for url, grade in grades_j1.items() if grade > 0}
 methods = {"graph": gold_run, "noqe": baseline_run}
 reports = {}
 for method, ranked in methods.items():
-    report = EvalReport(method=method)
-    for x in (3, 5, 10):
-        report.record(query, "P", x, precision_at(ranked, gold_set, x))
-        report.record(query, "S", x, success_at(ranked, gold_set, x))
-    for k in (3, 5, 7, 10):
-        per_judge = [ndcg_at(ranked, grades, k) for grades in (grades_j1, grades_j2)]
-        report.record(query, "NDCG", k, sum(per_judge) / 2)
-    reports[method] = report
+    reports[method] = EvalReport(method=method)
+    reports[method].score(query, ranked, gold_set, [grades_j1, grades_j2])
 
 for method, report in reports.items():
     print(f"method {method!r}:")

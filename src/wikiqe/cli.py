@@ -33,17 +33,7 @@ from .fusion import (
 )
 from .graph import GraphError
 from .ingest import IngestError, WikiSource, search_key
-from .metrics import (
-    NDCG_CUTOFFS,
-    PRECISION_CUTOFFS,
-    EvalReport,
-    JudgmentSet,
-    cohens_kappa,
-    ndcg_at,
-    precision_at,
-    success_at,
-    timed,
-)
+from .metrics import EvalReport, JudgmentSet, csv_table, timed
 from .text import default_stopwords, load_stopwords
 
 
@@ -157,57 +147,41 @@ def cmd_gold(args) -> int:
     return 0
 
 
+def _read_urls(path: Path) -> list[str]:
+    """The stripped non-blank lines of a URL file; undecodable text names the file."""
+    try:
+        return [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_eval(args) -> int:
-    runs_dir = Path(args.runs)
-    gold_dir = Path(args.gold)
-    judgments = JudgmentSet.from_csv(args.judgments) if args.judgments else None
-    slug_to_query = (
-        {query_slug(q): q for q in judgments.queries()} if judgments else {}
-    )
+    judgments = JudgmentSet.from_csv(args.judgments) if args.judgments else JudgmentSet({})
+    judge_grades = {  # slug -> one url -> grade map per judge of the query
+        query_slug(q): [judgments.query_grades(q, judge) for judge in judgments.graders(q)]
+        for q in judgments.queries()
+    }
 
     reports: dict[str, EvalReport] = {}
-    for run_file in sorted(runs_dir.glob("*.urls")):
+    for run_file in sorted(Path(args.runs).glob("*.urls")):
         slug, sep, method = run_file.stem.partition("__")
-        if not sep:
-            print(f"skipping {run_file.name}: expected <query>__<method>.urls", file=sys.stderr)
+        gold_file = Path(args.gold) / f"{slug}.urls"
+        try:
+            if not sep:
+                raise ValueError("expected <query>__<method>.urls")
+            if not gold_file.exists():
+                raise ValueError(f"no gold file {gold_file.name}")
+            ranked, gold = _read_urls(run_file), set(_read_urls(gold_file))
+        except (OSError, ValueError) as exc:
+            print(f"skipping {run_file.name}: {exc}", file=sys.stderr)
             continue
-        gold_file = gold_dir / f"{slug}.urls"
-        if not gold_file.exists():
-            print(f"skipping {run_file.name}: no gold file {gold_file.name}", file=sys.stderr)
-            continue
-        ranked = [ln.strip() for ln in run_file.read_text(encoding="utf-8").splitlines() if ln.strip()]
-        gold = {ln.strip() for ln in gold_file.read_text(encoding="utf-8").splitlines() if ln.strip()}
-        report = reports.setdefault(method, EvalReport(method=method))
-        for x in PRECISION_CUTOFFS:
-            report.record(slug, "P", x, precision_at(ranked, gold, x))
-            report.record(slug, "S", x, success_at(ranked, gold, x))
-        if judgments and slug in slug_to_query:
-            query = slug_to_query[slug]
-            judges = [j for j in judgments.judges() if judgments.query_grades(query, j)]
-            if judges:
-                for k in NDCG_CUTOFFS:
-                    scores = [
-                        ndcg_at(ranked, judgments.query_grades(query, judge), k)
-                        for judge in judges
-                    ]
-                    report.record(slug, "NDCG", k, sum(scores) / len(scores))
+        report = reports.setdefault(method, EvalReport(method))
+        report.score(slug, ranked, gold, judge_grades.get(slug, []))
 
-    if judgments:
-        agreement = EvalReport(method="judges")
-        judges = judgments.judges()
-        if len(judges) >= 2:
-            for query in judgments.queries():
-                a, b = judgments.paired_grades(judges[0], judges[1], query=query)
-                if a:
-                    agreement.record(query_slug(query), "kappa", 0, cohens_kappa(a, b))
-        if agreement.values:
-            reports["judges"] = agreement
-
-    lines = ["query,method,metric,cutoff,value"]
-    for method in sorted(reports):
-        body = reports[method].to_csv().splitlines()[1:]
-        lines.extend(body)
-    _write_report(args.out, "\n".join(lines) + "\n")
+    if kappas := judgments.kappas():
+        agreement = {query_slug(q): {("kappa", 0): k} for q, k in kappas.items()}
+        reports["judges"] = EvalReport("judges", agreement)
+    _write_report(args.out, csv_table([reports[method] for method in sorted(reports)]))
     return 0
 
 

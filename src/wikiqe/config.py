@@ -135,7 +135,10 @@ class RunConfig:
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
-        data = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # bad JSON or text that is not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
         return cls.from_dict(data, base=path.parent)
 
     def validate_paths(self) -> None:

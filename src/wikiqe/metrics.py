@@ -1,8 +1,8 @@
 """Retrieval-quality and agreement metrics: P@x, S@x, NDCG@k, Cohen's kappa.
 
 All computations are pure and per query; reports macro-average over the
-query set. The CSV emitted by EvalReport (``query,method,metric,cutoff,
-value``) is the plot-data feed for external chart tooling.
+query set. The CSV that csv_table writes for reports (``query,method,
+metric,cutoff,value``) is the plot-data feed for external chart tooling.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "timed",
     "JudgmentSet",
     "EvalReport",
+    "csv_table",
     "improvement_ratios",
 ]
 
@@ -106,14 +107,17 @@ def timed(stage, *args, **kwargs):
 
 
 class JudgmentSet:
-    """Graded relevance labels: (query, url) -> judge id -> grade in {0,1,2}."""
+    """Graded relevance labels: (query, url) -> judge id -> grade in {0,1,2},
+    kept by query (urls in first-seen order) so a query's lookups read only its rows."""
 
     def __init__(self, grades: dict[tuple[str, str], dict[str, int]]):
-        for key, per_judge in grades.items():
+        self._by_query: dict[str, dict[str, dict[str, int]]] = {}
+        for (query, url), per_judge in grades.items():
             for judge, grade in per_judge.items():
                 if grade not in VALID_GRADES:
-                    raise ValueError(f"grade for {key} by {judge!r} must be 0/1/2, got {grade!r}")
-        self.grades = grades
+                    raise ValueError(f"grade for {(query, url)} by {judge!r} must be 0/1/2, got {grade!r}")
+            self._by_query.setdefault(query, {})[url] = per_judge
+        self._judges = sorted({judge for per_judge in grades.values() for judge in per_judge})
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "JudgmentSet":
@@ -131,39 +135,63 @@ class JudgmentSet:
                     raise ValueError(f"{path}:{lineno}: grade {row['grade']!r} is not an integer") from None
                 if grade not in VALID_GRADES:
                     raise ValueError(f"{path}:{lineno}: grade must be 0, 1 or 2, got {grade}")
-                key = (row["query"], row["url"])
-                grades.setdefault(key, {})[row["judge"]] = grade
+                grades.setdefault((row["query"], row["url"]), {})[row["judge"]] = grade
         return cls(grades)
 
+    @property
+    def grades(self) -> dict[tuple[str, str], dict[str, int]]:
+        """The flat (query, url) -> judge -> grade view the constructor takes."""
+        return {(q, url): pj for q, urls in self._by_query.items() for url, pj in urls.items()}
+
     def judges(self) -> list[str]:
-        found = {judge for per_judge in self.grades.values() for judge in per_judge}
-        return sorted(found)
+        return list(self._judges)
 
     def query_grades(self, query: str, judge: str) -> dict[str, int]:
-        """url -> grade for one (query, judge) pair."""
+        """url -> grade for one (query, judge) pair, urls in first-seen order."""
         return {
             url: per_judge[judge]
-            for (q, url), per_judge in self.grades.items()
-            if q == query and judge in per_judge
+            for url, per_judge in self._by_query.get(query, {}).items()
+            if judge in per_judge
         }
+
+    def graders(self, query: str) -> list[str]:
+        """The judges who graded some url of ``query``, in judge order."""
+        return [judge for judge in self._judges if self.query_grades(query, judge)]
 
     def paired_grades(
         self, judge_a: str, judge_b: str, query: str | None = None
     ) -> tuple[list[int], list[int]]:
-        """Aligned grade lists over every (query, url) both judges scored;
-        restricted to one query when given."""
+        """Aligned grade lists over every (query, url) both judges scored,
+        in (query, url) order; restricted to one query when given."""
         left, right = [], []
-        for key in sorted(self.grades):
-            if query is not None and key[0] != query:
-                continue
-            per_judge = self.grades[key]
-            if judge_a in per_judge and judge_b in per_judge:
-                left.append(per_judge[judge_a])
-                right.append(per_judge[judge_b])
+        for q in self.queries() if query is None else [query]:
+            for _url, per_judge in sorted(self._by_query.get(q, {}).items()):
+                if judge_a in per_judge and judge_b in per_judge:
+                    left.append(per_judge[judge_a])
+                    right.append(per_judge[judge_b])
         return left, right
 
+    def kappas(self) -> dict[str, float]:
+        """query -> kappa of the first two judges, over the queries both graded."""
+        if len(self._judges) < 2:
+            return {}
+        pairs = {q: self.paired_grades(*self._judges[:2], query=q) for q in self.queries()}
+        return {q: cohens_kappa(a, b) for q, (a, b) in pairs.items() if a}
+
     def queries(self) -> list[str]:
-        return sorted({query for (query, _url) in self.grades})
+        return sorted(self._by_query)
+
+
+def csv_table(reports: list[EvalReport]) -> str:
+    """One ``query,method,metric,cutoff,value`` CSV of the reports, in order."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["query", "method", "metric", "cutoff", "value"])
+    for report in reports:
+        for query in report.queries():
+            for (metric, cutoff), value in sorted(report.values[query].items()):
+                writer.writerow([query, report.method, metric, cutoff, f"{value:.12g}"])
+    return buf.getvalue()
 
 
 @dataclass
@@ -179,32 +207,32 @@ class EvalReport:
     def record(self, query: str, metric: str, cutoff: int, value: float) -> None:
         self.values.setdefault(query, {})[(metric, cutoff)] = value
 
+    def score(self, query: str, ranked: list[str], gold: set[str],
+              judge_grades: list[dict[str, int]]) -> None:
+        """Record P and S at PRECISION_CUTOFFS against ``gold`` and NDCG at NDCG_CUTOFFS
+        averaged over ``judge_grades`` (one url -> grade map per judge, in judge order)."""
+        for x in PRECISION_CUTOFFS:
+            self.record(query, "P", x, precision_at(ranked, gold, x))
+            self.record(query, "S", x, success_at(ranked, gold, x))
+        if judge_grades:
+            for k in NDCG_CUTOFFS:
+                scores = [ndcg_at(ranked, grades, k) for grades in judge_grades]
+                self.record(query, "NDCG", k, sum(scores) / len(scores))
+
     def queries(self) -> list[str]:
         return sorted(self.values)
 
     def macro_average(self, metric: str, cutoff: int) -> float | None:
         """Mean over queries that have the metric; None when none do."""
-        found = [
-            per_query[(metric, cutoff)]
-            for per_query in self.values.values()
-            if (metric, cutoff) in per_query
-        ]
-        if not found:
-            return None
-        return sum(found) / len(found)
+        key = (metric, cutoff)
+        found = [per_query[key] for per_query in self.values.values() if key in per_query]
+        return sum(found) / len(found) if found else None
 
     def metric_keys(self) -> list[tuple[str, int]]:
-        keys = {key for per_query in self.values.values() for key in per_query}
-        return sorted(keys)
+        return sorted({key for per_query in self.values.values() for key in per_query})
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["query", "method", "metric", "cutoff", "value"])
-        for query in self.queries():
-            for (metric, cutoff), value in sorted(self.values[query].items()):
-                writer.writerow([query, self.method, metric, cutoff, f"{value:.12g}"])
-        return buf.getvalue()
+        return csv_table([self])
 
 
 def improvement_ratios(
@@ -224,12 +252,9 @@ def improvement_ratios(
     table: dict[tuple[str, int], dict[str, float | None]] = {}
     for key in baseline.metric_keys():
         base_value = baseline.macro_average(*key)
-        row: dict[str, float | None] = {}
+        row = table[key] = {}
         for variant in variants:
-            variant_value = variant.macro_average(*key)
-            if base_value in (None, 0) or variant_value is None:
-                row[variant.method] = None
-            else:
-                row[variant.method] = variant_value / base_value
-        table[key] = row
+            value = variant.macro_average(*key)
+            undefined = base_value in (None, 0) or value is None
+            row[variant.method] = None if undefined else value / base_value
     return table

@@ -27,22 +27,19 @@ def query_terms(query: str, stopwords: frozenset[str]) -> list[str]:
     return [tok for tok in tokenize(query) if tok not in OPERATORS and tok not in stopwords]
 
 
+def _parse_stopwords(text: str) -> frozenset[str]:
+    """One word per line; blank lines and '#' lines (after leading blanks) are skipped."""
+    words = (line.strip().casefold() for line in text.splitlines())
+    return frozenset(word for word in words if word and not word.startswith("#"))
+
+
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword file: one word per line, '#' comments allowed."""
-    words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        word = line.strip().casefold()
-        if word and not word.startswith("#"):
-            words.add(word)
-    return frozenset(words)
+    return _parse_stopwords(Path(path).read_text(encoding="utf-8"))
 
 
 @lru_cache(maxsize=1)
 def default_stopwords() -> frozenset[str]:
     """The bundled classic IR stopword list (about 570 words)."""
     text = resources.files("wikiqe.data").joinpath("stopwords.txt").read_text("utf-8")
-    return frozenset(
-        word.strip().casefold()
-        for word in text.splitlines()
-        if word.strip() and not word.startswith("#")
-    )
+    return _parse_stopwords(text)

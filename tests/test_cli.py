@@ -300,6 +300,44 @@ def test_eval_writes_out_file(tmp_path, capsys):
     assert out_file.read_text().startswith("query,method,metric,cutoff,value")
 
 
+def test_eval_skips_undecodable_run_file_and_scores_the_rest(tmp_path, capsys):
+    urls = ["https://u/1"]
+    runs, gold_dir = make_eval_dirs(tmp_path, urls, urls)
+    bad = runs / f"{query_slug(QUERY)}__broken.urls"
+    bad.write_bytes(b"\xffhttps://u/1\n")
+    code, out, err = run_cli(capsys, "eval", "--runs", str(runs), "--gold", str(gold_dir))
+    assert code == 0
+    assert err.startswith(f"skipping {bad.name}: {bad}: 'utf-8' codec can't decode")
+    assert ",graph,P,3,1\n" in out
+    assert ",broken," not in out
+
+
+def test_eval_skips_runs_whose_gold_file_does_not_decode(tmp_path, capsys):
+    urls = ["https://u/1"]
+    runs, gold_dir = make_eval_dirs(tmp_path, urls, urls)
+    (runs / "other__graph.urls").write_text("https://u/1\n")
+    bad_gold = gold_dir / "other.urls"
+    bad_gold.write_bytes(b"https://u/1\n\xfe\n")
+    code, out, err = run_cli(capsys, "eval", "--runs", str(runs), "--gold", str(gold_dir))
+    assert code == 0
+    assert err.startswith(f"skipping other__graph.urls: {bad_gold}: 'utf-8' codec")
+    assert f"{query_slug(QUERY)},graph,P,3,1\n" in out
+    assert "other," not in out
+
+
+def test_eval_skips_a_directory_named_like_a_run_file(tmp_path, capsys):
+    urls = ["https://u/1"]
+    runs, gold_dir = make_eval_dirs(tmp_path, urls, urls)
+    folder = runs / f"{query_slug(QUERY)}__folder.urls"
+    folder.mkdir()
+    code, out, err = run_cli(capsys, "eval", "--runs", str(runs), "--gold", str(gold_dir))
+    assert code == 0
+    assert err.startswith(f"skipping {folder.name}: ")
+    assert str(folder) in err
+    assert ",graph,P,3,1\n" in out
+    assert ",folder," not in out
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
@@ -464,3 +502,12 @@ def test_fixture_config_loads():
     assert config.snapshot_dir and config.snapshot_dir.exists()
     assert config.weights.as_map()["degree"] == 30
     assert [e.engine_id for e in config.engines] == ["google", "lycos", "bing", "ask", "exalead"]
+
+
+@pytest.mark.parametrize("payload", [b"{\n", b'{"seed": 1}\xff\n'], ids=["bad-json", "not-utf8"])
+def test_unreadable_config_error_names_the_file(tmp_path, capsys, payload):
+    bad = tmp_path / "config.json"
+    bad.write_bytes(payload)
+    code, _, err = run_cli(capsys, "expand", QUERY, "--config", str(bad), "--out", str(tmp_path))
+    assert code == 1
+    assert err.startswith(f"error: {bad}: ")

@@ -2,9 +2,11 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+import wikiqe
 from wikiqe.centrality import build_table
 from wikiqe.expand import (
     ExpansionResult,
@@ -19,7 +21,7 @@ from wikiqe.expand import (
     term_lists,
     thesaurus_expand,
 )
-from wikiqe.text import default_stopwords
+from wikiqe.text import default_stopwords, load_stopwords
 
 from conftest import make_subgraph
 
@@ -103,6 +105,18 @@ def test_borda_exhaustive_against_oracle():
 # ---------------------------------------------------------------------------
 # filter_terms
 # ---------------------------------------------------------------------------
+
+def test_bundled_stopwords_parse_like_a_stopword_file():
+    bundled = Path(wikiqe.__file__).parent / "data" / "stopwords.txt"
+    assert default_stopwords() == load_stopwords(bundled)
+    assert len(default_stopwords()) == 570
+
+
+def test_stopword_file_comments_and_blanks(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_text("# header\n  The \n\n   # indented comment\nOF\n", encoding="utf-8")
+    assert load_stopwords(path) == {"the", "of"}
+
 
 def test_filter_drops_query_words_and_stopwords():
     stops = default_stopwords()

@@ -6,9 +6,12 @@ import random
 import pytest
 
 from wikiqe.metrics import (
+    NDCG_CUTOFFS,
+    PRECISION_CUTOFFS,
     EvalReport,
     JudgmentSet,
     cohens_kappa,
+    csv_table,
     improvement_ratios,
     ndcg_at,
     precision_at,
@@ -225,6 +228,31 @@ def test_report_csv_layout():
     assert lines[0] == "query,method,metric,cutoff,value"
     assert "q1,graph,P,3,0.5" in lines
     assert "q1,graph,S,3,1" in lines
+
+
+def test_score_records_the_policy_cutoffs_and_averages_ndcg_over_judges():
+    ranked, gold = ["d1", "d2", "d3"], {"d2"}
+    judge_grades = [{"d1": 2, "d2": 0}, {"d2": 2, "d3": 1}]
+    report = EvalReport(method="graph")
+    report.score("q", ranked, gold, judge_grades)
+    assert sorted(report.values["q"]) == sorted(
+        [(m, x) for m in ("P", "S") for x in PRECISION_CUTOFFS]
+        + [("NDCG", k) for k in NDCG_CUTOFFS]
+    )
+    assert report.values["q"][("P", 3)] == pytest.approx(1 / 3)
+    assert report.values["q"][("S", 3)] == 1
+    for k in NDCG_CUTOFFS:
+        mean = (ndcg_at(ranked, judge_grades[0], k) + ndcg_at(ranked, judge_grades[1], k)) / 2
+        assert report.values["q"][("NDCG", k)] == mean
+    ungraded = EvalReport(method="graph")
+    ungraded.score("q", ranked, gold, [])
+    assert {metric for metric, _ in ungraded.values["q"]} == {"P", "S"}
+
+
+def test_csv_table_writes_one_header_over_all_reports():
+    first, second = report_from("a", {"q1": 0.5}), report_from("b", {"q2": 1.0})
+    table = csv_table([first, second])
+    assert table == first.to_csv() + "".join(second.to_csv().splitlines(keepends=True)[1:])
 
 
 def test_ratios_identical_reports_are_one():
