@@ -65,6 +65,6 @@ from .metrics import (
     success_at,
     timed,
 )
-from .config import RunConfig, benchmark_queries
+from .config import ConfigError, RunConfig, benchmark_queries
 
 __version__ = "0.1.0"

@@ -157,9 +157,20 @@ def _read_urls(path: Path) -> list[str]:
 
 def cmd_eval(args) -> int:
     judgments = JudgmentSet.from_csv(args.judgments) if args.judgments else JudgmentSet({})
+    by_slug: dict[str, list[str]] = {}  # run files name a query by its slug only
+    for query in judgments.queries():
+        by_slug.setdefault(query_slug(query), []).append(query)
+    judged = {}  # query -> slug, for the slugs exactly one judged query gives
+    for slug, queries in by_slug.items():
+        if len(queries) > 1:
+            *others, last = map(repr, queries)
+            print(f"skipping judgments for {slug}: queries {', '.join(others)} and {last} "
+                  "share it", file=sys.stderr)
+        else:
+            judged[queries[0]] = slug
     judge_grades = {  # slug -> one url -> grade map per judge of the query
-        query_slug(q): [judgments.query_grades(q, judge) for judge in judgments.graders(q)]
-        for q in judgments.queries()
+        slug: [judgments.query_grades(q, judge) for judge in judgments.graders(q)]
+        for q, slug in judged.items()
     }
 
     reports: dict[str, EvalReport] = {}
@@ -178,8 +189,8 @@ def cmd_eval(args) -> int:
         report = reports.setdefault(method, EvalReport(method))
         report.score(slug, ranked, gold, judge_grades.get(slug, []))
 
-    if kappas := judgments.kappas():
-        agreement = {query_slug(q): {("kappa", 0): k} for q, k in kappas.items()}
+    agreement = {judged[q]: {("kappa", 0): k} for q, k in judgments.kappas().items() if q in judged}
+    if agreement:
         reports["judges"] = EvalReport("judges", agreement)
     _write_report(args.out, csv_table([reports[method] for method in sorted(reports)]))
     return 0

@@ -4,12 +4,15 @@ Configs load from a JSON file; relative paths inside it resolve against
 the file's own directory, so a fixture bundle can be checked out anywhere.
 Two weight presets ship: "paper" (the six-source reference split with the
 five reference engine confidences) and "tuned" (graph-only 20-30-20).
+A config that does not parse or type-check raises :class:`ConfigError`
+naming the file and the key path, e.g. ``config.json: crawl.hop_bound:
+expected int, got 'x'``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .centrality import PageRankParams
@@ -22,7 +25,7 @@ from .fusion import (
 )
 from .ingest import CrawlConfig
 
-__all__ = ["RunConfig", "BASIC_QUERIES", "benchmark_queries", "query_slug"]
+__all__ = ["ConfigError", "RunConfig", "BASIC_QUERIES", "benchmark_queries", "query_slug"]
 
 # The ten basic multi-domain benchmark queries (five two-term, five
 # three-term); benchmark_queries() expands them with operator joins.
@@ -55,6 +58,47 @@ def query_slug(query: str) -> str:
     """Filesystem-safe identifier for a query."""
     cleaned = "".join(ch if ch.isalnum() else "_" for ch in query.casefold())
     return "_".join(filter(None, cleaned.split("_")))
+
+
+class ConfigError(ValueError):
+    """A run config that does not parse or type-check; names the key path,
+    and the file when the config came from :meth:`RunConfig.load`."""
+
+
+# JSON value types accepted for each annotated field type (bools excluded).
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
+def _check(value, expected: str, where: str):
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[expected]):
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+    return value
+
+
+def _object(value, where: str, keys=None) -> dict:
+    """``value`` if it is a JSON object holding no key outside ``keys``;
+    ``where`` is its key path, empty for the whole config."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected object, got {value!r}" if where
+                          else f"expected object, got {value!r}")
+    for key in value if keys is not None else ():
+        if key not in keys:
+            raise ConfigError(f"{where}.{key}: unknown key" if where else f"{key}: unknown key")
+    return value
+
+
+def _section(cls, data, where: str):
+    """Build the dataclass ``cls`` from a JSON object, checking every key."""
+    known = {f.name: f for f in fields(cls)}
+    for key, value in _object(data, where, known).items():
+        _check(value, known[key].type, f"{where}.{key}")
+    for name, f in known.items():
+        if name not in data and f.default is MISSING:
+            raise ConfigError(f"{where}.{name}: missing")
+    try:
+        return cls(**data)
+    except ValueError as exc:  # a range check in __post_init__
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 @dataclass
@@ -106,28 +150,33 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict, base: Path | None = None) -> "RunConfig":
         base = base or Path(".")
+        _object(data, "", ("crawl", "pagerank", "weights", "engines", "paths", "seed"))
+        paths = _object(data.get("paths", {}), "paths",
+                        ("snapshot_dir", "serp_dir", "dictionaries", "stopwords", "output_dir"))
 
-        def resolve(value):
+        def resolve(key, value):
             if value is None:
                 return None
-            p = Path(value)
+            p = Path(_check(value, "str", key))
             return p if p.is_absolute() else base / p
 
-        paths = data.get("paths", {})
         engines = data.get("engines")
+        if engines is not None and not isinstance(engines, list):
+            raise ConfigError(f"engines: expected list, got {engines!r}")
+        dictionaries = _object(paths.get("dictionaries", {}), "paths.dictionaries")
         config = cls(
-            crawl=CrawlConfig(**data.get("crawl", {})),
-            pagerank=PageRankParams(**data.get("pagerank", {})),
-            weights=(KnowledgeWeights(**data["weights"]) if "weights" in data
+            crawl=_section(CrawlConfig, data.get("crawl", {}), "crawl"),
+            pagerank=_section(PageRankParams, data.get("pagerank", {}), "pagerank"),
+            weights=(_section(KnowledgeWeights, data["weights"], "weights") if "weights" in data
                      else SIX_SOURCE_WEIGHTS),
             engines=(list(DEFAULT_ENGINES) if engines is None
-                     else [EngineConfig(**e) for e in engines]),
-            snapshot_dir=resolve(paths.get("snapshot_dir")),
-            serp_dir=resolve(paths.get("serp_dir")),
-            dictionaries={k: resolve(v) for k, v in paths.get("dictionaries", {}).items()},
-            stopwords_path=resolve(paths.get("stopwords")),
-            output_dir=resolve(paths.get("output_dir")) or Path("out"),
-            seed=data.get("seed", 0),
+                     else [_section(EngineConfig, e, f"engines[{i}]") for i, e in enumerate(engines)]),
+            snapshot_dir=resolve("paths.snapshot_dir", paths.get("snapshot_dir")),
+            serp_dir=resolve("paths.serp_dir", paths.get("serp_dir")),
+            dictionaries={k: resolve(f"paths.dictionaries.{k}", v) for k, v in dictionaries.items()},
+            stopwords_path=resolve("paths.stopwords", paths.get("stopwords")),
+            output_dir=resolve("paths.output_dir", paths.get("output_dir")) or Path("out"),
+            seed=_check(data.get("seed", 0), "int", "seed"),
         )
         config.validate_paths()
         return config
@@ -136,10 +185,9 @@ class RunConfig:
     def load(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # bad JSON or text that is not UTF-8
-            raise ValueError(f"{path}: {exc}") from None
-        return cls.from_dict(data, base=path.parent)
+            return cls.from_dict(json.loads(path.read_text(encoding="utf-8")), base=path.parent)
+        except ValueError as exc:  # bad JSON, text that is not UTF-8, or a ConfigError
+            raise ConfigError(f"{path}: {exc}") from None
 
     def validate_paths(self) -> None:
         """Input paths must exist when configured (output_dir is created)."""

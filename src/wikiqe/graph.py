@@ -38,7 +38,10 @@ def normalize_title(title: str) -> str:
     """
     text = title
     # Terminates: after the first round only percent-decoding can change
-    # the text, and each decoded escape shortens it.
+    # the text, and each decoded escape shortens it. A round that leaves no
+    # "%" is the last: the next would change nothing, because casefold works
+    # per code point, is idempotent and never yields "%", "#", "_" or
+    # whitespace (tests/test_graph.py checks every code point).
     while True:
         prev = text
         text = urllib.parse.unquote(text)
@@ -46,7 +49,7 @@ def normalize_title(title: str) -> str:
         text = text.replace("_", " ")
         text = " ".join(text.split())
         text = text.casefold()
-        if text == prev:
+        if text == prev or "%" not in text:
             break
     if not text:
         raise ValueError(f"title normalizes to empty string: {title!r}")

@@ -16,7 +16,17 @@ A lookup computes the file name from its key, so there is no index (an
 ``index.json`` left by older versions is ignored) and a write touches only
 its own record. Each record goes to a uniquely named temp file in its
 directory and is renamed into place, so a crashed crawl never leaves a torn
-record and concurrent writers never share a temp file.
+record and concurrent writers never share a temp file. The ``pages/`` and
+``searches/`` directories are created by the first write that needs them.
+
+Links come from :func:`_article_links`, a scanner that visits only the
+markup that decides which links an HTML tokenizer reports: ``<a`` start
+tags, comments, and ``<script>``/``<style>`` bodies, which it steps over as
+``html.parser`` does. It reads attributes with a copy of ``html.parser``'s
+attribute regex, as CPython 3.10.13 to 3.13.0 release it, and
+``html.unescape``, so on MediaWiki parser output (where a raw ``<`` never
+appears inside text or an attribute value) it gives the same link list as
+an ``html.parser`` walk over every tag.
 """
 
 from __future__ import annotations
@@ -24,12 +34,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import secrets
 import threading
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, replace
-from html.parser import HTMLParser
+from dataclasses import dataclass, replace
+from html import unescape
 from pathlib import Path
 
 from .graph import OntologyGraph, normalize_title
@@ -118,17 +129,22 @@ def _hashed(name: str) -> str:
     return hashlib.sha256(name.encode("utf-8")).hexdigest()[:24] + ".json"
 
 
-def _write_atomic(path: Path, payload: dict) -> None:
+def _write_atomic(path: str, payload: dict) -> None:
     text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=1)
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    # Mode "x" creates the temp file exclusively, with the umask-derived
+    # permissions a plain write would give (mkstemp would make it 0600).
     try:
-        # Mode "x" creates the temp file exclusively, with the umask-derived
-        # permissions a plain write would give (mkstemp would make it 0600).
-        with open(tmp, "x", encoding="utf-8") as handle:
+        handle = open(tmp, "x", encoding="utf-8")
+    except FileNotFoundError:  # the first write into this directory
+        os.makedirs(os.path.dirname(tmp), exist_ok=True)
+        handle = open(tmp, "x", encoding="utf-8")
+    try:
+        with handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        Path(tmp).unlink(missing_ok=True)
         raise
 
 
@@ -146,7 +162,15 @@ class PageCache:
         return self._read("pages", "title", title, lambda data: PageRecord(**data))
 
     def put_page(self, record: PageRecord) -> None:
-        self._write("pages", record.title, asdict(record))
+        # The fields by hand: dataclasses.asdict would deep-copy the outlinks.
+        self._write("pages", record.title, {
+            "title": record.title,
+            "outlinks": record.outlinks,
+            "fetched_at": record.fetched_at,
+            "source": record.source,
+            "missing": record.missing,
+            "disambiguation": record.disambiguation,
+        })
 
     def get_search(self, query: str) -> list[str] | None:
         return self._read("searches", "query", query, lambda data: list(data["results"]))
@@ -171,36 +195,81 @@ class PageCache:
             raise IngestError(f"malformed cache record {path}: {exc!r}") from None
 
     def _write(self, kind: str, key: str, payload: dict) -> None:
-        directory = self.root / kind
-        directory.mkdir(parents=True, exist_ok=True)
-        _write_atomic(directory / _hashed(key), payload)
+        _write_atomic(os.path.join(self.root, kind, _hashed(key)), payload)
 
 
-class _ArticleLinkExtractor(HTMLParser):
-    """Pulls /wiki/ article links out of rendered page HTML, in order."""
+# The markup that decides which links a tokenizer reports: an <a> start tag
+# (group 1), a script/style start tag, whose body is raw text (group 2), or a
+# comment. A start tag's name takes the separator html.parser's
+# tagfind_tolerant allows after it.
+_MARKUP = re.compile(r"<(?:(a)|(script|style))(?=[\t\n\r\f\x20/>])(?:\s|/(?!>))*|<!--",
+                     re.IGNORECASE)
+# html.parser's attribute regex (attrfind_tolerant), comment end and raw-text
+# end as CPython 3.10.13 to 3.13.0 release them (the same in each), copied so
+# that the scan follows one release whichever interpreter runs it.
+_ATTRIBUTE = re.compile(
+    r'((?<=[\'"\s/])[^\s/>][^\s/=>]*)(\s*=+\s*'
+    r'(\'[^\']*\'|"[^"]*"|(?![\'"])[^>\s]*))?(?:\s|/(?!>))*')
+_COMMENT_END = re.compile(r"--\s*>")
+_RAW_TEXT_END = {
+    "script": re.compile(r"</\s*script\s*>", re.IGNORECASE),
+    "style": re.compile(r"</\s*style\s*>", re.IGNORECASE),
+}
 
-    def __init__(self):
-        super().__init__()
-        self.links: list[str] = []
-        self._seen: set[str] = set()
 
-    def handle_starttag(self, tag, attrs):
-        if tag != "a":
-            return
-        href = dict(attrs).get("href") or ""
+def _article_links(html: str) -> list[str]:
+    """The /wiki/ article links of rendered page HTML, in first-occurrence order.
+
+    Attributes are read with ``_ATTRIBUTE``, quotes stripped and entities
+    unescaped as ``HTMLParser.parse_starttag`` does; the last ``href`` of a
+    tag wins. Like a tokenizer fed the page and never closed, the scan stops
+    at a start tag, comment or raw-text body that does not end.
+    """
+    links: dict[str, None] = {}
+    pos = 0
+    while match := _MARKUP.search(html, pos):
+        pos = match.end()
+        link, raw_text = match.groups()
+        if not (link or raw_text):  # a comment
+            end = _COMMENT_END.search(html, pos)
+            if end is None:
+                break
+            pos = end.end()
+            continue
+        last = None
+        while attribute := _ATTRIBUTE.match(html, pos):
+            pos = attribute.end()
+            if attribute[1].lower() == "href":
+                last = attribute
+        if html.startswith("/>", pos):
+            pos += 2
+            raw_text = None  # an empty element opens no raw-text body
+        elif html.startswith(">", pos):
+            pos += 1
+        else:
+            break  # the tag does not end
+        if raw_text:
+            end = _RAW_TEXT_END[raw_text.lower()].search(html, pos)
+            if end is None:
+                break
+            pos = end.end()
+        if not link or last is None or not last[2]:
+            continue
+        href = last[3]
+        if href[:1] == "'" == href[-1:] or href[:1] == '"' == href[-1:]:
+            href = href[1:-1]
+        href = unescape(href)
         if not href.startswith("/wiki/"):
-            return
+            continue
         tail = href[len("/wiki/"):]
         prefix, sep, _rest = tail.partition(":")
         if sep and prefix.casefold() in _NON_ARTICLE_PREFIXES:
-            return
+            continue
         try:
-            title = normalize_title(tail)
+            links[normalize_title(tail)] = None
         except ValueError:
-            return
-        if title not in self._seen:
-            self._seen.add(title)
-            self.links.append(title)
+            continue
+    return list(links)
 
 
 class _Pacer:
@@ -309,11 +378,9 @@ class WikiClient:
             disambiguation = "disambiguation" in properties
         else:
             disambiguation = any(p.get("name") == "disambiguation" for p in properties)
-        extractor = _ArticleLinkExtractor()
-        extractor.feed(parse.get("text", {}).get("*", ""))
         return PageRecord(
             title=title,
-            outlinks=extractor.links,
+            outlinks=_article_links(parse.get("text", {}).get("*", "")),
             fetched_at=time.time(),
             source="live",
             disambiguation=disambiguation,

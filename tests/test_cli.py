@@ -13,7 +13,7 @@ import pytest
 
 from conftest import hashed_name
 from wikiqe.cli import main
-from wikiqe.config import RunConfig, benchmark_queries, query_slug
+from wikiqe.config import ConfigError, RunConfig, benchmark_queries, query_slug
 from wikiqe.fusion import SIX_SOURCE_WEIGHTS
 from wikiqe.ingest import PageCache, PageRecord, WikiSource, search_key
 
@@ -277,6 +277,30 @@ def test_eval_with_judgments_adds_ndcg_and_kappa(tmp_path, capsys):
     assert ",judges,kappa," in out
 
 
+@pytest.mark.parametrize("judged, named", [
+    ([("Q A", "2021"), ("q a", "0112")], "'Q A' and 'q a'"),
+    ([("Q A", "2021"), ("q a", "0112"), ("q_a", "1111")], "'Q A', 'q a' and 'q_a'"),
+], ids=["two-queries", "three-queries"])
+def test_eval_skips_judgments_of_queries_sharing_a_slug(tmp_path, capsys, judged, named):
+    urls = ["https://u/1", "https://u/2"]
+    runs, gold_dir = make_eval_dirs(tmp_path, urls, urls)
+    (runs / "q_a__graph.urls").write_text("https://u/1\nhttps://u/2\n")
+    (gold_dir / "q_a.urls").write_text("https://u/1\n")
+    rows = [(query, url, judge, grade)
+            for query, grades in [*judged, (QUERY, "2120")]
+            for (url, judge), grade in zip([(u, j) for u in urls for j in ("j1", "j2")], grades)]
+    judgments = tmp_path / "judgments.csv"
+    judgments.write_text("query,url,judge,grade\n" + "".join(",".join(r) + "\n" for r in rows))
+    code, out, err = run_cli(capsys, "eval", "--runs", str(runs), "--gold", str(gold_dir),
+                             "--judgments", str(judgments))
+    assert code == 0
+    assert err == f"skipping judgments for q_a: queries {named} share it\n"
+    assert "q_a,graph,P,3," in out
+    assert "q_a,graph,NDCG," not in out and "q_a,judges," not in out
+    slug = query_slug(QUERY)
+    assert f"{slug},graph,NDCG," in out and f"{slug},judges,kappa,0," in out
+
+
 def test_eval_malformed_judgments_error_names_line(tmp_path, capsys):
     urls = ["https://u/1"]
     runs, gold_dir = make_eval_dirs(tmp_path, urls, urls)
@@ -502,6 +526,29 @@ def test_fixture_config_loads():
     assert config.snapshot_dir and config.snapshot_dir.exists()
     assert config.weights.as_map()["degree"] == 30
     assert [e.engine_id for e in config.engines] == ["google", "lycos", "bing", "ask", "exalead"]
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"crawl": {"hop_bound": "x"}}, "crawl.hop_bound: expected int, got 'x'"),
+    ({"crawl": 5}, "crawl: expected object, got 5"),
+    ([1], "expected object, got [1]"),
+    ({"engines": [{"engine_id": "g"}]}, "engines[0].confidence: missing"),
+    ({"weights": {"degree": "a"}}, "weights.degree: expected int, got 'a'"),
+    ({"crawll": {"hop_bound": 1}}, "crawll: unknown key"),
+    ({"paths": {"snapshot": "snapshot"}}, "paths.snapshot: unknown key"),
+], ids=["wrong-type", "section-not-object", "top-level-list", "engine-without-confidence",
+        "weight-not-int", "misspelt-section", "misspelt-path"])
+def test_malformed_config_names_file_and_key_without_traceback(tmp_path, capsys, config, message):
+    bad = tmp_path / "config.json"
+    bad.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "expand", QUERY, "--config", str(bad), "--out", str(tmp_path))
+    assert (code, out, err) == (1, "", f"error: {bad}: {message}\n")
+
+
+def test_config_error_is_a_value_error_without_the_file_from_dict():
+    with pytest.raises(ConfigError, match=r"^pagerank: damping must be in \(0, 1\), got 2$"):
+        RunConfig.from_dict({"pagerank": {"damping": 2}})
+    assert issubclass(ConfigError, ValueError)
 
 
 @pytest.mark.parametrize("payload", [b"{\n", b'{"seed": 1}\xff\n'], ids=["bad-json", "not-utf8"])

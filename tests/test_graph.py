@@ -40,6 +40,20 @@ def test_normalize_rejects_empty():
         normalize_title("#fragment-only")
 
 
+def test_casefold_keeps_a_round_without_percent_final():
+    """What lets normalize_title stop after a round that leaves no "%":
+    casefold maps each code point on its own, is idempotent on it, and
+    never yields "%", "#", "_" or whitespace from any other code point."""
+    special = {"%", "#", "_"}
+    for code in range(0x110000):
+        char = chr(code)
+        folded = char.casefold()
+        assert folded.casefold() == folded, hex(code)
+        if char in special or char.isspace():
+            continue
+        assert not any(out in special or out.isspace() for out in folded), hex(code)
+
+
 # ---------------------------------------------------------------------------
 # add_page
 # ---------------------------------------------------------------------------

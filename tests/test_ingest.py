@@ -64,6 +64,29 @@ def test_cache_page_round_trip(tmp_path):
     assert reloaded.get_page("unknown") is None
 
 
+@pytest.mark.parametrize("record", [
+    PageRecord("ethanol", ["alcohol (drug)", "café", "\u2028 quote \" and \\"], 1234.5, "live"),
+    PageRecord("no such page", [], 1.7e9 + 0.25, "live", missing=True),
+    PageRecord("mercury", ["mercury (planet)", "mercury (element)"], 0.0, "snapshot",
+               disambiguation=True),
+], ids=["links", "missing", "disambiguation"])
+def test_cache_page_bytes_are_the_dataclass_json(tmp_path, record):
+    PageCache(tmp_path).put_page(record)
+    written = (tmp_path / "pages" / hashed_name(record.title)).read_bytes()
+    expected = json.dumps(asdict(record), ensure_ascii=False, sort_keys=True, indent=1)
+    assert written == expected.encode("utf-8")
+
+
+def test_cache_put_creates_missing_directories(tmp_path):
+    root = tmp_path / "not" / "yet"
+    cache = PageCache(root)
+    cache.put_page(PageRecord("ethanol", ["alcohol"], 7.0, "live"))
+    cache.put_search("ethanol", ["ethanol"])
+    assert files_under(root) == [f"pages/{hashed_name('ethanol')}",
+                                 f"searches/{hashed_name('ethanol')}"]
+    assert PageCache(root).get_page("ethanol").outlinks == ["alcohol"]
+
+
 def test_cache_search_round_trip(tmp_path):
     cache = PageCache(tmp_path)
     cache.put_search("adolescent alcoholism", ["alcoholism", YOUTH])

@@ -1,7 +1,8 @@
 """Property tests: Borda permutation invariance, normalize_url idempotence,
-graph dumps/loads round-trip, add_page invariants and the normalize_title
-fixpoint."""
+graph dumps/loads round-trip, add_page invariants, the normalize_title
+fixpoint and its agreement with the loop that ran a confirming round."""
 
+import urllib.parse
 from collections import deque
 
 import pytest
@@ -53,6 +54,46 @@ def test_normalize_title_is_a_fixpoint(raw):
     except ValueError:
         return
     assert normalize_title(once) == once
+
+
+def reference_normalize_title(title):
+    """normalize_title as it was before it stopped on a round without "%":
+    every call ran one more round to confirm the fixpoint (kept verbatim)."""
+    text = title
+    while True:
+        prev = text
+        text = urllib.parse.unquote(text)
+        text = text.split("#", 1)[0]
+        text = text.replace("_", " ")
+        text = " ".join(text.split())
+        text = text.casefold()
+        if text == prev:
+            break
+    if not text:
+        raise ValueError(f"title normalizes to empty string: {title!r}")
+    return text
+
+
+title_text = st.one_of(
+    st.text(),
+    st.text(st.sampled_from("%25%2A%5F%23_#  \t\u00a0\u2028aZß\u0130ﬁ")),
+    st.lists(st.sampled_from(["%", "%25", "%2", "%41", "%5f", "%23", "%20", "%C3%9F", "%E2%80%A8",
+                              "_", "#", " ", "A", "é", "ẞ"]))
+    .map("".join),
+)
+
+
+@hypothesis.settings(max_examples=500, deadline=None)
+@hypothesis.given(title_text)
+def test_normalize_title_matches_the_confirming_loop(raw):
+    try:
+        expected = reference_normalize_title(raw)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            normalize_title(raw)
+        assert str(raised.value) == str(exc)
+        return
+    assert normalize_title(raw) == expected
 
 
 def _title_or_none(raw):
