@@ -35,6 +35,7 @@ on any CPython, including the compensated ``sum`` of 3.12+.
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -76,20 +77,30 @@ class PageRankResult:
 
 @dataclass
 class CentralityTable:
-    """Per-node scores plus the three descending-order node lists.
+    """Per-node scores of the three centralities.
 
-    Each list is a permutation of the node set, sorted by its score with
-    ties broken lexicographically by title, so identical graphs always
-    produce byte-identical lists.
+    The node lists ``degree_list``, ``closeness_list`` and ``pagerank_list``
+    are derived on each access, not stored: each sorts the whole node set
+    by descending score with ties broken by title (:func:`ranked_prefix`),
+    so identical graphs always produce byte-identical lists.
     """
 
     degree: dict[str, int]
     closeness: dict[str, float]
     pagerank: dict[str, float]
-    degree_list: list[str]
-    closeness_list: list[str]
-    pagerank_list: list[str]
     pagerank_converged: bool = True
+
+    @property
+    def degree_list(self) -> list[str]:
+        return ranked_prefix(self.degree, len(self.degree))
+
+    @property
+    def closeness_list(self) -> list[str]:
+        return ranked_prefix(self.closeness, len(self.closeness))
+
+    @property
+    def pagerank_list(self) -> list[str]:
+        return ranked_prefix(self.pagerank, len(self.pagerank))
 
     def to_csv(self) -> str:
         """Dump as ``title,degree,closeness,pagerank`` rows (12 significant
@@ -191,21 +202,33 @@ def pagerank(subgraph: ConceptSubgraph, params: PageRankParams | None = None) ->
     return PageRankResult(scores=dict(zip(nodes, rank)), converged=converged, iterations=iterations)
 
 
+def ranked_prefix(scores: dict[str, float], want: int) -> list[str]:
+    """The best titles of ``scores`` by descending score, ties broken by
+    title: every title that scores at least the ``want``-th best score, or
+    all titles when ``want >= len(scores)``.
+
+    Keeping every title tied with the ``want``-th best makes the result an
+    exact prefix of the full ranking, at least ``want`` long, for one pass
+    over the scores and a sort of the prefix alone.
+    """
+    if want < len(scores):
+        cut = heapq.nlargest(want, scores.values())[-1]
+        titles = [title for title, score in scores.items() if score >= cut]
+    else:
+        titles = list(scores)
+    titles.sort(key=lambda title: (-scores[title], title))
+    return titles
+
+
 def build_table(subgraph: ConceptSubgraph, params: PageRankParams | None = None) -> CentralityTable:
-    """Compute all three score maps and their sorted node lists."""
+    """Compute the three score maps; the ranked node lists are derived from
+    them on demand (:class:`CentralityTable`)."""
     deg = degree(subgraph)
     clo = closeness(subgraph)
     pr = pagerank(subgraph, params)
-
-    def ranked(scores):
-        return sorted(scores, key=lambda title: (-scores[title], title))
-
     return CentralityTable(
         degree=deg,
         closeness=clo,
         pagerank=pr.scores,
-        degree_list=ranked(deg),
-        closeness_list=ranked(clo),
-        pagerank_list=ranked(pr.scores),
         pagerank_converged=pr.converged,
     )

@@ -90,6 +90,8 @@ def _write_report(out: str | None, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_expand(args) -> int:
+    if args.m < 1:
+        raise ValueError(f"m must be >= 1, got {args.m}")
     config = _configure(args)
     graph = _source(config).build_graph(args.query, config.crawl)
     best, result = _expand(config, graph, args.query, args.m, _stopwords(config))
@@ -197,6 +199,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.m < 1:
+        raise ValueError(f"m must be >= 1, got {args.m}")
     config = _configure(args)
     queries = [
         line.strip()

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .centrality import CentralityTable
+from .centrality import CentralityTable, ranked_prefix
 from .text import content_tokens, default_stopwords, query_terms, tokenize
 
 __all__ = [
@@ -161,7 +161,7 @@ def term_lists(table: CentralityTable) -> dict[str, RankedTermList]:
     occurrence wins. The lists are permutations of one node set, so each
     title is converted once.
     """
-    term_of = {title: term_from_title(title) for title in table.degree_list}
+    term_of = {title: term_from_title(title) for title in table.degree}
     return {
         source: RankedTermList(
             source=source, terms=list(dict.fromkeys(map(term_of.__getitem__, titles)))
@@ -177,13 +177,39 @@ def term_lists(table: CentralityTable) -> dict[str, RankedTermList]:
 def _top_k_windows(table: CentralityTable, k: int) -> dict[str, list[str]]:
     """The first ``k`` terms of each graph source's list.
 
+    Equal to ``term_lists(table)[source].terms[:k]``, without ranking or
+    converting the whole node set: each source ranks a prefix of its
+    ``want`` best titles (``want = k`` at first) and converts titles in
+    order until ``k`` distinct terms are found. Only when the prefix runs
+    out first (titles that collapse to one term) does ``want`` double and
+    the longer prefix get ranked. Each title is converted at most once.
+
     The paper intersects each list's window with the other two lists.
     The three lists rank one node set and so hold one term set, which
     makes that intersection keep every term: the window is the result.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return {source: ranked.terms[:k] for source, ranked in term_lists(table).items()}
+    term_of: dict[str, str] = {}
+    windows = {}
+    for source in GRAPH_SOURCES:
+        scores = getattr(table, source)
+        want = k
+        while True:
+            prefix = ranked_prefix(scores, want)
+            window: dict[str, None] = {}
+            for title in prefix:
+                term = term_of.get(title)
+                if term is None:
+                    term = term_of[title] = term_from_title(title)
+                window[term] = None
+                if len(window) == k:
+                    break
+            if len(window) == k or len(prefix) == len(scores):
+                break
+            want *= 2
+        windows[source] = list(window)
+    return windows
 
 
 def expand_query(

@@ -75,6 +75,24 @@ def test_expand_unknown_query_exits_nonzero(tmp_path, capsys):
     assert "no Wikipedia concept" in err
 
 
+@pytest.mark.parametrize("command", ["expand", "bench"])
+@pytest.mark.parametrize("m", [0, -1])
+def test_m_below_one_is_rejected_before_the_crawl(tmp_path, capsys, command, m):
+    # An empty snapshot resolves no concept, so a crawl started before the
+    # check would report that instead of m (expand) or skip every query (bench).
+    snapshot = tmp_path / "empty"
+    snapshot.mkdir()
+    out = tmp_path / "out"
+    target = [QUERY] if command == "expand" else ["--queries", str(FIXTURES / "queries.txt")]
+    code, stdout, err = run_cli(
+        capsys, command, *target, "--m", str(m), "--snapshot", str(snapshot), "--out", str(out)
+    )
+    assert code == 1
+    assert err == f"error: m must be >= 1, got {m}\n"
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_expand_shortfall_exit_code(tmp_path, capsys):
     snapshot = tmp_path / "snap"
     cache = PageCache(snapshot)

@@ -7,11 +7,14 @@ from pathlib import Path
 import pytest
 
 import wikiqe
-from wikiqe.centrality import build_table
+import wikiqe.expand as expand_module
+from wikiqe.centrality import build_table, ranked_prefix
+from wikiqe.config import RunConfig
 from wikiqe.expand import (
     ExpansionResult,
     RankedTermList,
     SynonymDictionary,
+    _top_k_windows,
     borda_combine,
     expand_query,
     filter_terms,
@@ -21,9 +24,12 @@ from wikiqe.expand import (
     term_lists,
     thesaurus_expand,
 )
+from wikiqe.ingest import WikiSource, search_key
 from wikiqe.text import default_stopwords, load_stopwords
 
 from conftest import make_subgraph
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def ranked(source, terms):
@@ -254,6 +260,120 @@ def test_source_term_lists_filter_and_label():
     for source, term_list in lists.items():
         assert term_list.source == source
         assert "alcoholism" not in term_list.terms
+
+
+# ---------------------------------------------------------------------------
+# top-k windows against the full-sort path
+# ---------------------------------------------------------------------------
+
+SOURCES = ("degree", "closeness", "pagerank")
+TIED_STOPWORDS = frozenset({"x2"})
+
+
+def full_sort_windows(table, k):
+    """Frozen copy of the windows before ranking went top-k: every node
+    list sorted in full by (-score, title), every title converted, the
+    first occurrence of each term kept, then the first k terms."""
+    def full_sort(scores):
+        return sorted(scores, key=lambda title: (-scores[title], title))
+
+    term_of = {title: term_from_title(title) for title in table.degree}
+    return {
+        source: list(dict.fromkeys(map(term_of.__getitem__, full_sort(getattr(table, source)))))[:k]
+        for source in SOURCES
+    }
+
+
+def full_sort_expand(table, user_query, m, stopwords, k):
+    """Frozen copy of expand_query on the full-sort windows."""
+    windows = full_sort_windows(table, k)
+    combined = borda_combine(list(windows.values()))
+    qe_terms = filter_terms([term for term, _ in combined], user_query, stopwords)[:m]
+    scores = dict(combined)
+    return ExpansionResult(
+        user_query=user_query,
+        qe_terms=qe_terms,
+        borda_scores={t: scores[t] for t in qe_terms},
+        provenance={t: [s for s in SOURCES if t in windows[s]] for t in qe_terms},
+        shortfall=len(qe_terms) < m,
+    )
+
+
+def assert_matches_full_sort(table, user_query, k, stopwords):
+    windows = full_sort_windows(table, k)
+    assert _top_k_windows(table, k) == windows
+    for m in (1, 2, 5):
+        assert expand_query(table, user_query, m, stopwords, k) == full_sort_expand(
+            table, user_query, m, stopwords, k
+        )
+    assert source_term_lists(table, user_query, stopwords, k) == {
+        source: ranked(source, filter_terms(window, user_query, stopwords))
+        for source, window in windows.items()
+    }
+
+
+def stress_ks(table):
+    n = len(table.degree)
+    return sorted({1, 2, 100, n - 1, n, n + 5} - {0})
+
+
+def test_top_k_matches_full_sort_on_tied_graphs():
+    # Out-degrees of 0 to 2 tie many nodes on degree, every leaf scores
+    # closeness 0, and titles collapse to one term in threes ("x3",
+    # "x3 (film)", "x3 (novel)"), so ties and repeated terms sit at the cut.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    senses = ("", " (film)", " (novel)")
+    title = st.builds(lambda i, sense: f"x{i}{sense}", st.integers(0, 9), st.sampled_from(senses))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        titles = data.draw(st.lists(title, min_size=1, max_size=40, unique=True))
+        targets = st.lists(st.sampled_from(titles), max_size=2, unique=True)
+        adjacency = {t: [x for x in data.draw(targets) if x != t] for t in titles}
+        table = build_table(make_subgraph(adjacency))
+        for k in stress_ks(table):
+            assert_matches_full_sort(table, "x1 zzz", k, TIED_STOPWORDS)
+
+    check()
+
+
+def test_top_k_matches_full_sort_on_every_fixture_query():
+    config = RunConfig.load(FIXTURES / "config.json")
+    source = WikiSource.from_env(snapshot_dir=config.snapshot_dir)
+    stopwords = default_stopwords()
+    tables = {}
+    for query in (FIXTURES / "queries.txt").read_text(encoding="utf-8").splitlines():
+        key = search_key(query)
+        if key not in tables:
+            graph = source.build_graph(query, config.crawl)
+            tables[key] = build_table(graph.select_best_concept(), config.pagerank)
+        for k in stress_ks(tables[key]):
+            assert_matches_full_sort(tables[key], query, k, stopwords)
+
+
+def test_top_k_doubles_the_prefix_when_titles_collapse(monkeypatch):
+    # By degree the two best titles are "x" and "x (film)": one term, so
+    # k = 2 needs a second, doubled prefix to reach the term "a".
+    adjacency = {
+        "x": ["a", "b", "c"],
+        "x (film)": ["a", "b"],
+        "x (novel)": ["a"],
+        "a": [], "b": [], "c": [],
+    }
+    table = build_table(make_subgraph(adjacency))
+    wants = []
+
+    def recording(scores, want):
+        if scores is table.degree:
+            wants.append(want)
+        return ranked_prefix(scores, want)
+
+    monkeypatch.setattr(expand_module, "ranked_prefix", recording)
+    assert_matches_full_sort(table, "zzz", 2, frozenset())
+    assert _top_k_windows(table, 2)["degree"] == ["x", "a"]
+    assert wants[:2] == [2, 4]
 
 
 # ---------------------------------------------------------------------------
