@@ -34,7 +34,7 @@ from .fusion import (
 from .graph import GraphError
 from .ingest import IngestError, WikiSource, search_key
 from .metrics import EvalReport, JudgmentSet, csv_table, timed
-from .text import default_stopwords, load_stopwords
+from .text import _read_text, default_stopwords, load_stopwords
 
 
 def _configure(args) -> RunConfig:
@@ -150,14 +150,13 @@ def cmd_gold(args) -> int:
 
 
 def _read_urls(path: Path) -> list[str]:
-    """The stripped non-blank lines of a URL file; undecodable text names the file."""
-    try:
-        return [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    """The stripped non-blank lines of a URL file."""
+    return [ln.strip() for ln in _read_text(path).splitlines() if ln.strip()]
 
 
 def cmd_eval(args) -> int:
+    if not Path(args.runs).is_dir():
+        raise NotADirectoryError(f"--runs {args.runs}: not a directory")
     judgments = JudgmentSet.from_csv(args.judgments) if args.judgments else JudgmentSet({})
     by_slug: dict[str, list[str]] = {}  # run files name a query by its slug only
     for query in judgments.queries():
@@ -204,7 +203,7 @@ def cmd_bench(args) -> int:
     config = _configure(args)
     queries = [
         line.strip()
-        for line in Path(args.queries).read_text(encoding="utf-8").splitlines()
+        for line in _read_text(args.queries).splitlines()
         if line.strip() and not line.startswith("#")
     ]
     stopwords = _stopwords(config)

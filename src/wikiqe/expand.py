@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .centrality import CentralityTable, ranked_prefix
-from .text import content_tokens, default_stopwords, query_terms, tokenize
+from .text import _read_text, content_tokens, default_stopwords, query_terms, tokenize
 
 __all__ = [
     "KNOWLEDGE_SOURCES",
@@ -90,7 +90,7 @@ class SynonymDictionary:
     @classmethod
     def from_file(cls, path: str | Path, ordering: str = "ranked") -> "SynonymDictionary":
         entries: dict[str, list[str]] = {}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(_read_text(path).splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -1,15 +1,16 @@
 """Directed graph of Wikipedia concepts and the subgraph operations built on it.
 
-Nodes are normalized article titles annotated with their hop distance from
-the nearest root concept. Edges are the article hyperlinks. A completed
-graph is treated as immutable and can be shared freely across threads;
-construction is single-writer.
+Nodes are normalized article titles annotated with their hop: the
+breadth-first distance from the nearest root concept. Edges are the article
+hyperlinks. ``add_page`` takes pages in breadth-first order and ``loads``
+takes records under the same hop rule, so no hop is repaired afterwards.
+A completed graph is treated as immutable and can be shared freely across
+threads; construction is single-writer.
 """
 
 from __future__ import annotations
 
 import urllib.parse
-from collections import deque
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -115,49 +116,41 @@ class OntologyGraph:
     # ------------------------------------------------------------------
 
     def add_page(self, page: str, outlinks: list[str], hop: int) -> None:
-        """Insert a page and its outgoing links at the given hop distance.
+        """Give ``page``, a node at ``hop``, the links it does not have yet.
 
-        Targets land at ``hop + 1`` (or keep a smaller hop already seen;
-        decreases propagate to descendants). Re-adding a page adds only the
-        links it does not have yet.
-        Raises GraphError when the insertion would place a node past the
-        hop bound, which indicates a crawl-frontier bug.
+        Pages come in breadth-first order, so new targets land at ``hop + 1``
+        and a link to a node past ``hop + 1`` is out of order. Self-links and
+        repeated links are dropped. Raises GraphError, changing nothing, for a
+        page that is not a node at ``hop``, links from a page at the hop
+        bound, a reserved character in a target, or a link out of order.
         """
-        if hop > self.hop_bound:
-            raise GraphError(f"page {page!r} at hop {hop} exceeds bound {self.hop_bound}")
+        if self._hops.get(page) != hop:
+            raise GraphError(f"page {page!r} is not a node at hop {hop}")
         if hop >= self.hop_bound and outlinks:
-            raise GraphError(
-                f"page {page!r} at hop {hop} must be a leaf (bound {self.hop_bound})"
-            )
-        self._check_title(page)
-        self._insert(page, hop)
-        links = self._adjacency[page]
+            raise GraphError(f"page {page!r} at hop {hop} must be a leaf (bound {self.hop_bound})")
+        self._link(page, outlinks)
+
+    def _link(self, page: str, outlinks: list[str], line_of: dict[str, int] | None = None) -> None:
+        # The hop rule: a link reaches at most one hop past its page, and a
+        # new node lands exactly there, so a graph built under it keeps each
+        # hop equal to the breadth-first distance from the roots. Every
+        # target is checked before the first change.
+        limit = self._hops[page] + 1
         for target in outlinks:
             self._check_title(target)
-            if target == page:
-                continue
-            # After this, hop(target) <= hop(page) + 1: the new edge needs no walk.
-            self._insert(target, self._hops[page] + 1)
-            if target not in links:
+            known = self._hops.get(target, limit)
+            if known > limit:
+                where = f"line {line_of[target]}: " if line_of else ""
+                raise GraphError(
+                    f"{where}{target!r} at hop {known}, but {page!r} at hop {limit - 1} links to it"
+                )
+        links = self._adjacency[page]
+        for target in outlinks:
+            if target != page and target not in links:
+                if target not in self._hops:
+                    self._hops[target] = limit
+                    self._adjacency[target] = []
                 links.append(target)
-
-    def _insert(self, title: str, hop: int) -> None:
-        known = self._hops.get(title)
-        if known is None:
-            self._hops[title] = hop
-            self._adjacency[title] = []
-        elif hop < known:
-            # Propagate the decrease along existing edges so annotations stay
-            # equal to true shortest-path distances regardless of insert order.
-            self._hops[title] = hop
-            queue = deque([title])
-            while queue:
-                node = queue.popleft()
-                base = self._hops[node]
-                for nxt in self._adjacency[node]:
-                    if base + 1 < self._hops[nxt]:
-                        self._hops[nxt] = base + 1
-                        queue.append(nxt)
 
     # ------------------------------------------------------------------
     # queries
@@ -242,13 +235,16 @@ class OntologyGraph:
     def loads(cls, text: str, hop_bound: int | None = None) -> "OntologyGraph":
         """Rebuild a graph from its serialized form (bit-exact round-trip).
 
-        Roots are the hop-0 records, in file order. ``hop_bound`` defaults
-        to the largest hop present. Raises GraphError naming the line for a
-        record with a malformed or out-of-range hop, with a link to a title
-        that has no record of its own, or with a hop more than one past the
-        hop of a page linking to it (longer than its shortest path).
+        Nodes keep file order; roots are the hop-0 records. ``hop_bound``
+        defaults to the largest hop present. Every hop must be the
+        breadth-first distance from the roots: raises GraphError naming the
+        line for a malformed record, a negative hop or one past ``hop_bound``,
+        a bad or duplicate title, a link to a title with no record, a link
+        that breaks the hop rule of ``add_page``, and a non-root record that
+        no page one hop closer links to (a short hop or an unreachable page).
         """
         records: list[tuple[int, str, int, list[str]]] = []
+        line_of: dict[str, int] = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line:
                 continue
@@ -258,36 +254,36 @@ class OntologyGraph:
             title, hop_text, links = parts
             try:
                 hop = int(hop_text)
+                cls._check_title(title)
             except ValueError:
                 raise GraphError(f"line {lineno}: bad hop {hop_text!r}") from None
+            except GraphError as exc:
+                raise GraphError(f"line {lineno}: {exc}") from None
             if hop < 0:
                 raise GraphError(f"line {lineno}: negative hop {hop}")
             if hop_bound is not None and hop > hop_bound:
                 raise GraphError(f"line {lineno}: hop {hop} exceeds bound {hop_bound}")
-            outlinks = links.split("|") if links else []
-            records.append((lineno, title, hop, outlinks))
+            if title in line_of:
+                raise GraphError(f"line {lineno}: duplicate record for {title!r} (line {line_of[title]})")
+            line_of[title] = lineno
+            records.append((lineno, title, hop, links.split("|") if links else []))
         if not records:
             raise GraphError("empty graph serialization")
         if hop_bound is None:
             hop_bound = max(1, max(hop for _, _, hop, _ in records))
-        roots = [title for _, title, hop, _ in records if hop == 0]
-        graph = cls(roots, hop_bound=hop_bound)
-        # Two passes: register every node at its recorded hop first, then
-        # attach edges, so hops survive arbitrary record order.
-        line_of = {}
-        for lineno, title, hop, _ in records:
-            graph._insert(title, hop)
-            line_of.setdefault(title, lineno)
-        for lineno, title, _, outlinks in records:
-            targets = graph._adjacency[title]
+        graph = cls([title for _, title, hop, _ in records if hop == 0], hop_bound=hop_bound)
+        graph._hops = {title: hop for _, title, hop, _ in records}
+        graph._adjacency = {title: [] for title in graph._hops}
+        parented = set()  # the titles a page one hop closer links to
+        for lineno, title, hop, outlinks in records:
             for target in outlinks:
-                if target not in graph._hops:
+                if target not in line_of:
                     raise GraphError(f"line {lineno}: link to {target!r}, which has no record")
-                if graph._hops[target] > graph._hops[title] + 1:
-                    raise GraphError(
-                        f"line {line_of[target]}: {target!r} at hop {graph._hops[target]},"
-                        f" but {title!r} at hop {graph._hops[title]} links to it"
-                    )
-                if target != title and target not in targets:
-                    targets.append(target)
+            graph._link(title, outlinks, line_of)
+            parented.update(t for t in outlinks if graph._hops[t] == hop + 1)
+        for lineno, title, hop, _ in records:
+            if hop and title not in parented:
+                raise GraphError(
+                    f"line {lineno}: {title!r} at hop {hop}, but no page at hop {hop - 1} links to it"
+                )
         return graph

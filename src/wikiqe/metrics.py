@@ -14,6 +14,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .text import _read_text
+
 __all__ = [
     "PRECISION_CUTOFFS",
     "NDCG_CUTOFFS",
@@ -123,19 +125,18 @@ class JudgmentSet:
     def from_csv(cls, path: str | Path) -> "JudgmentSet":
         """Load ``query,url,judge,grade`` rows; bad grades name their line."""
         grades: dict[tuple[str, str], dict[str, int]] = {}
-        with open(path, encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
-            required = {"query", "url", "judge", "grade"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise ValueError(f"{path}: header must contain {sorted(required)}")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    grade = int(row["grade"])
-                except (TypeError, ValueError):
-                    raise ValueError(f"{path}:{lineno}: grade {row['grade']!r} is not an integer") from None
-                if grade not in VALID_GRADES:
-                    raise ValueError(f"{path}:{lineno}: grade must be 0, 1 or 2, got {grade}")
-                grades.setdefault((row["query"], row["url"]), {})[row["judge"]] = grade
+        reader = csv.DictReader(io.StringIO(_read_text(path, newline=""), newline=""))
+        required = {"query", "url", "judge", "grade"}
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise ValueError(f"{path}: header must contain {sorted(required)}")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                grade = int(row["grade"])
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}:{lineno}: grade {row['grade']!r} is not an integer") from None
+            if grade not in VALID_GRADES:
+                raise ValueError(f"{path}:{lineno}: grade must be 0, 1 or 2, got {grade}")
+            grades.setdefault((row["query"], row["url"]), {})[row["judge"]] = grade
         return cls(grades)
 
     @property

@@ -1,4 +1,5 @@
-"""Query tokenization and stopword handling shared across the pipeline."""
+"""Query tokenization, stopword handling and the text-file reader shared
+across the pipeline."""
 
 from __future__ import annotations
 
@@ -27,6 +28,15 @@ def query_terms(query: str, stopwords: frozenset[str]) -> list[str]:
     return [tok for tok in tokenize(query) if tok not in OPERATORS and tok not in stopwords]
 
 
+def _read_text(path: str | Path, newline: str | None = None) -> str:
+    """The UTF-8 text of a file; text that does not decode names the file."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _parse_stopwords(text: str) -> frozenset[str]:
     """One word per line; blank lines and '#' lines (after leading blanks) are skipped."""
     words = (line.strip().casefold() for line in text.splitlines())
@@ -35,7 +45,7 @@ def _parse_stopwords(text: str) -> frozenset[str]:
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword file: one word per line, '#' comments allowed."""
-    return _parse_stopwords(Path(path).read_text(encoding="utf-8"))
+    return _parse_stopwords(_read_text(path))
 
 
 @lru_cache(maxsize=1)

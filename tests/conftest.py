@@ -1,12 +1,12 @@
-"""Shared test helpers: direct subgraph construction, random graphs and
-the crawl-cache file name."""
+"""Shared test helpers: direct subgraph construction, random graphs, the
+breadth-first hop oracle and the crawl-cache file name."""
 
 import hashlib
 import random
 
 import pytest
 
-from wikiqe.graph import ConceptSubgraph
+from wikiqe.graph import ConceptSubgraph, OntologyGraph
 
 
 def make_subgraph(adjacency: dict[str, list[str]], root: str | None = None) -> ConceptSubgraph:
@@ -27,6 +27,18 @@ def make_subgraph(adjacency: dict[str, list[str]], root: str | None = None) -> C
                 full[t] = []
                 nodes.append(t)
     return ConceptSubgraph(root=root or nodes[0], nodes=tuple(nodes), adjacency=full)
+
+
+def bfs_hops(graph: OntologyGraph) -> dict[str, int]:
+    """Oracle: multi-source breadth-first distances over the graph's edges."""
+    hops = {root: 0 for root in graph.roots}
+    queue = list(graph.roots)
+    for node in queue:
+        for nxt in graph.outlinks(node):
+            if nxt not in hops:
+                hops[nxt] = hops[node] + 1
+                queue.append(nxt)
+    return hops
 
 
 def hashed_name(key: str) -> str:

@@ -53,13 +53,18 @@ def reference_links(html: str) -> list[str]:
     return extractor.links
 
 
-def synthetic_pages(variant: int) -> list[str]:
-    """Every page the crawl-synthetic workload serves for one variant."""
+def synthetic_wiki(variant: int):
+    """The synthetic Wikipedia the crawl-synthetic workload serves for one variant."""
     if str(BENCHMARK) not in sys.path:
         sys.path.insert(0, str(BENCHMARK))
     import gen
 
-    return list(gen.SyntheticWiki(random.Random(f"crawl-{variant}")).html.values())
+    return gen.SyntheticWiki(random.Random(f"crawl-{variant}"))
+
+
+def synthetic_pages(variant: int) -> list[str]:
+    """Every page the crawl-synthetic workload serves for one variant."""
+    return list(synthetic_wiki(variant).html.values())
 
 
 # (id, page HTML, the links both extractors give)

@@ -246,9 +246,11 @@ def test_criterion_6_end_to_end_determinism(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def crawl_shaped_graph(n_target=5000, branching=17, seed=77):
-    """Hop-bounded BFS tree with sideways leaf links, like a real crawl."""
+    """Hop-bounded BFS tree with sideways leaf links, like a real crawl.
+
+    The leaves sit at hop 3, so the bound is 4 to let them link sideways."""
     rng = random.Random(seed)
-    graph = OntologyGraph(["root concept"], hop_bound=3)
+    graph = OntologyGraph(["root concept"], hop_bound=4)
     level = ["root concept"]
     counter = 0
     for hop in range(2):
@@ -277,7 +279,7 @@ def crawl_shaped_graph(n_target=5000, branching=17, seed=77):
     for _ in range(2000):
         u, v = rng.choice(leaves), rng.choice(leaves)
         if u != v:
-            graph.add_page(u, [v], 2)
+            graph.add_page(u, [v], graph.hop(u))
     return graph
 
 

@@ -227,20 +227,26 @@ def test_gold_weights_flag_rejects_garbage(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_gold_without_engines_errors(tmp_path, capsys):
+def fixture_config_copy(tmp_path, edit) -> str:
+    """The fixture config, changed by ``edit``, written to ``tmp_path`` with
+    its fixture-relative paths kept working from there."""
     data = json.loads(Path(CONFIG).read_text())
-    data["engines"] = []
-    bad = tmp_path / "config.json"
-    # keep fixture-relative paths working from the new location
     for key in ("snapshot_dir", "serp_dir", "stopwords"):
         if data["paths"].get(key):
             data["paths"][key] = str(FIXTURES / data["paths"][key])
     data["paths"]["dictionaries"] = {
         name: str(FIXTURES / rel) for name, rel in data["paths"]["dictionaries"].items()
     }
-    bad.write_text(json.dumps(data))
+    edit(data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_gold_without_engines_errors(tmp_path, capsys):
+    bad = fixture_config_copy(tmp_path, lambda data: data.update(engines=[]))
     code, _, err = run_cli(
-        capsys, "gold", QUERY, "--config", str(bad), "--out", str(tmp_path / "out")
+        capsys, "gold", QUERY, "--config", bad, "--out", str(tmp_path / "out")
     )
     assert code == 1
     assert "no engines" in err
@@ -576,3 +582,48 @@ def test_unreadable_config_error_names_the_file(tmp_path, capsys, payload):
     code, _, err = run_cli(capsys, "expand", QUERY, "--config", str(bad), "--out", str(tmp_path))
     assert code == 1
     assert err.startswith(f"error: {bad}: ")
+
+
+# ---------------------------------------------------------------------------
+# text inputs
+# ---------------------------------------------------------------------------
+
+def eval_argv(tmp_path, bad):
+    runs, gold_dir = make_eval_dirs(tmp_path, ["https://u/1"], ["https://u/1"])
+    return ["eval", "--runs", str(runs), "--gold", str(gold_dir), "--judgments", str(bad)]
+
+
+def stopwords_argv(tmp_path, bad):
+    config = fixture_config_copy(tmp_path, lambda data: data["paths"].update(stopwords=str(bad)))
+    return ["expand", QUERY, "--config", config, "--out", str(tmp_path / "out")]
+
+
+def dictionary_argv(tmp_path, bad):
+    config = fixture_config_copy(
+        tmp_path, lambda data: data["paths"]["dictionaries"].update(moby=str(bad))
+    )
+    return ["gold", QUERY, "--config", config, "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("argv", [
+    eval_argv,
+    lambda tmp_path, bad: ["bench", "--queries", str(bad), "--config", CONFIG],
+    stopwords_argv,
+    dictionary_argv,
+], ids=["judgments", "bench-queries", "stopwords", "dictionary"])
+def test_undecodable_text_input_error_names_the_file(tmp_path, capsys, argv):
+    bad = tmp_path / "not-utf8.txt"
+    bad.write_bytes(b"first line\n\xff\n")
+    code, out, err = run_cli(capsys, *argv(tmp_path, bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("make", [lambda path: None, lambda path: path.write_text("x\n")],
+                         ids=["missing", "a-file"])
+def test_eval_runs_that_is_not_a_directory_is_an_error(tmp_path, capsys, make):
+    runs = tmp_path / "runs"
+    make(runs)
+    code, out, err = run_cli(capsys, "eval", "--runs", str(runs), "--gold", str(tmp_path))
+    assert (code, out, err) == (1, "", f"error: --runs {runs}: not a directory\n")

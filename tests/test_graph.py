@@ -1,12 +1,19 @@
 """Concept graph construction, subgraph isolation and serialization."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+from wikiqe import PageCache, RunConfig, WikiClient, WikiSource
+from wikiqe.config import benchmark_queries
 from wikiqe.graph import GraphError, OntologyGraph, normalize_title
 
-from conftest import random_adjacency
+from conftest import bfs_hops, random_adjacency
+from reference_links import synthetic_wiki
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +65,17 @@ def test_casefold_keeps_a_round_without_percent_final():
 # add_page
 # ---------------------------------------------------------------------------
 
+def build_graph(edges: dict[str, list[str]], roots: list[str], hop_bound=10) -> OntologyGraph:
+    """Add every page the roots reach, in breadth-first order, as a crawl does."""
+    graph = OntologyGraph(roots, hop_bound=hop_bound)
+    queue = list(graph.roots)
+    for page in queue:
+        links = edges.get(page, [])
+        graph.add_page(page, links, graph.hop(page))
+        queue.extend(t for t in dict.fromkeys(links) if t not in queue)
+    return graph
+
+
 def test_single_root_no_links():
     graph = OntologyGraph(["alcoholism"], hop_bound=3)
     graph.add_page("alcoholism", [], hop=0)
@@ -103,57 +121,46 @@ def test_rejects_hop_past_bound():
         graph.add_page("edge-at-bound", ["overflow"], hop=2)
 
 
-def test_hop_decrease_propagates_to_descendants():
+def test_link_out_of_breadth_first_order_is_rejected():
     graph = OntologyGraph(["r", "s"], hop_bound=3)
-    # First discover c via a long path from s, then a short path from r.
+    # c is reached first by a long path from s; r's shorter link comes too late.
     graph.add_page("s", ["b"], hop=0)
     graph.add_page("b", ["c"], hop=1)
-    assert graph.hop("c") == 2
-    graph.add_page("r", ["c"], hop=0)
-    assert graph.hop("c") == 1
+    before = graph.dumps()
+    with pytest.raises(GraphError, match="'c' at hop 2, but 'r' at hop 0 links to it"):
+        graph.add_page("r", ["x", "c"], hop=0)
+    assert graph.dumps() == before
+
+
+@pytest.mark.parametrize("page, outlinks, hop, message", [
+    ("a", ["b", "bad|x"], 0, "reserved character"),
+    ("m", ["b", "bad\x85x"], 1, "reserved character"),
+    ("ghost", [], 1, "'ghost' is not a node at hop 1"),
+    ("m", ["b"], 0, "'m' is not a node at hop 0"),
+    ("n", ["b"], 2, "'n' at hop 2 must be a leaf"),
+])
+def test_rejected_add_page_changes_nothing(page, outlinks, hop, message):
+    graph = OntologyGraph(["a"], hop_bound=2)
+    graph.add_page("a", ["m"], hop=0)
+    graph.add_page("m", ["n"], hop=1)
+    before = graph.dumps()
+    with pytest.raises(GraphError, match=message):
+        graph.add_page(page, outlinks, hop)
+    assert graph.dumps() == before
 
 
 def test_hops_match_fresh_bfs_on_random_graphs(rng):
-    # Oracle: multi-source BFS over the final edge set.
     for trial in range(25):
         adjacency = random_adjacency(rng, rng.randint(2, 30), 0.15)
         names = list(adjacency)
         roots = rng.sample(names, rng.randint(1, min(3, len(names))))
-        graph = OntologyGraph(roots, hop_bound=len(names) + 1)
-        # Insert pages in BFS order from the roots, as a crawl would.
-        frontier = list(graph.roots)
-        seen = set(frontier)
-        while frontier:
-            page = frontier.pop(0)
-            graph.add_page(page, adjacency.get(page, []), graph.hop(page))
-            for nxt in adjacency.get(page, []):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-
-        expected = {root: 0 for root in graph.roots}
-        queue = list(graph.roots)
-        while queue:
-            node = queue.pop(0)
-            for nxt in graph.outlinks(node):
-                if nxt not in expected:
-                    expected[nxt] = expected[node] + 1
-                    queue.append(nxt)
-        assert graph.nodes == expected, f"trial {trial}"
+        graph = build_graph(adjacency, roots, hop_bound=len(names) + 1)
+        assert graph.nodes == bfs_hops(graph), f"trial {trial}"
 
 
 # ---------------------------------------------------------------------------
 # isolate_subgraph
 # ---------------------------------------------------------------------------
-
-def build_graph(edges: dict[str, list[str]], roots: list[str], hop_bound=10) -> OntologyGraph:
-    graph = OntologyGraph(roots, hop_bound=hop_bound)
-    order = list(roots) + [n for n in edges if n not in roots]
-    for node in order:
-        hop = graph.hop(node) if node in graph else hop_bound - 1
-        graph.add_page(node, edges.get(node, []), hop)
-    return graph
-
 
 def test_isolate_reachability():
     graph = build_graph({"a": ["b"], "b": ["c"], "x": ["y"]}, roots=["a", "x"])
@@ -209,10 +216,7 @@ def test_select_beats_every_other_root_brute_force(rng):
         adjacency = random_adjacency(rng, rng.randint(3, 50), 0.1)
         names = list(adjacency)
         roots = rng.sample(names, rng.randint(2, min(6, len(names))))
-        graph = OntologyGraph(roots, hop_bound=len(names) + 1)
-        for node in names:
-            hop = graph.hop(node) if node in graph else 1
-            graph.add_page(node, adjacency[node], hop)
+        graph = build_graph(adjacency, roots, hop_bound=len(names) + 1)
         best = graph.select_best_concept()
         for root in graph.roots:
             assert best.graph_degree >= graph.isolate_subgraph(root).graph_degree
@@ -249,12 +253,15 @@ def test_round_trip_random_graphs(rng):
     for _ in range(10):
         adjacency = random_adjacency(rng, rng.randint(2, 25), 0.2)
         names = list(adjacency)
-        graph = OntologyGraph([names[0]], hop_bound=len(names) + 1)
-        for node in names:
-            hop = graph.hop(node) if node in graph else 1
-            graph.add_page(node, adjacency[node], hop)
+        graph = build_graph(adjacency, [names[0]], hop_bound=len(names) + 1)
         text = graph.dumps()
         assert OntologyGraph.loads(text).dumps() == text
+        # A page no link reaches is not a node, and adding it changes nothing.
+        for name in names:
+            if name not in graph:
+                with pytest.raises(GraphError, match="not a node"):
+                    graph.add_page(name, adjacency[name], 1)
+        assert graph.dumps() == text
 
 
 def test_loads_rejects_malformed_lines():
@@ -276,6 +283,44 @@ def test_loads_rejects_malformed_lines():
 def test_loads_rejects_inconsistent_records(text, hop_bound, message):
     with pytest.raises(GraphError, match=message):
         OntologyGraph.loads(text, hop_bound=hop_bound)
+
+
+@pytest.mark.parametrize("text, message", [
+    # c's only path is 2 long
+    ("a\t0\tb\nb\t1\tc\nc\t1\t\n", "line 3: 'c' at hop 1, but no page at hop 0 links to it"),
+    # duplicates used to merge silently, so the round trip was not exact
+    ("a\t0\tb\nb\t2\t\nb\t1\t\n", "line 3: duplicate record for 'b' (line 2)"),
+    ("a\t0\tb\nb\t1\t\nb\t1\tc\nc\t2\t\n", "line 3: duplicate record for 'b' (line 2)"),
+    ("a\t0\tb\nb\t1\t\na\t0\t\n", "line 3: duplicate record for 'a' (line 1)"),
+    # no link reaches z
+    ("a\t0\t\nz\t2\t\n", "line 2: 'z' at hop 2, but no page at hop 1 links to it"),
+    # add_page rejects an empty title
+    ("a\t0\t|b\n\t1\t\nb\t1\t\n", "line 2: empty concept title"),
+])
+def test_loads_rejects_what_add_page_cannot_build(text, message):
+    with pytest.raises(GraphError, match=re.escape(message)):
+        OntologyGraph.loads(text)
+
+
+def crawl_graphs(tmp_path, wiki):
+    """The graphs the CLI crawls: every fixture query from the snapshot, or
+    every query of one crawl-synthetic wiki through its fake API."""
+    crawl = RunConfig.load(FIXTURES / "config.json").crawl
+    if wiki == "fixtures":
+        source, queries = WikiSource(PageCache(FIXTURES / "snapshot")), benchmark_queries()
+    else:
+        wiki = synthetic_wiki(wiki)
+        client = WikiClient(transport=wiki.transport, request_interval=0, sleep=lambda s: None)
+        source, queries = WikiSource(PageCache(tmp_path), client), wiki.queries
+    return [source.build_graph(query, crawl) for query in queries]
+
+
+@pytest.mark.parametrize("wiki", ["fixtures", 0, 7, 15])
+def test_crawl_graphs_round_trip_at_breadth_first_hops(tmp_path, wiki):
+    for graph in crawl_graphs(tmp_path, wiki):
+        text = graph.dumps()
+        assert OntologyGraph.loads(text).dumps() == text
+        assert graph.nodes == bfs_hops(graph)
 
 
 def test_reserved_characters_rejected():

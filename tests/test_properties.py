@@ -11,6 +11,8 @@ from wikiqe.expand import borda_combine
 from wikiqe.fusion import normalize_url
 from wikiqe.graph import GraphError, OntologyGraph, normalize_title
 
+from conftest import bfs_hops
+
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 settings = hypothesis.settings(max_examples=100, deadline=None)
@@ -140,40 +142,41 @@ def test_dumps_loads_round_trip(graph):
     assert clone.nodes == graph.nodes
 
 
-@st.composite
-def add_page_sequences(draw):
-    """Roots, a hop bound and valid add_page calls in any order: pages
-    repeat, links repeat or point back at the page, and a page at the hop
-    bound has no links."""
-    names = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, unique=True))
-    roots = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
-    hop_bound = draw(st.integers(1, 4))
-    calls = []
-    for _ in range(draw(st.integers(0, 12))):
-        page = draw(st.sampled_from(names))
-        hop = draw(st.integers(0 if page in roots else 1, hop_bound))
-        links = [] if hop == hop_bound else draw(st.lists(st.sampled_from(names), max_size=6))
-        calls.append((page, links, hop))
-    return roots, hop_bound, calls
-
-
 @settings
-@hypothesis.given(add_page_sequences())
-# b gets its link at hop 2 and only then drops to hop 1, so c must follow.
-@hypothesis.example((["r"], 3, [("b", ["c"], 2), ("r", ["b", "b", "r"], 0)]))
-def test_add_page_keeps_hops_consistent_and_edges_distinct(sequence):
-    roots, hop_bound, calls = sequence
+@hypothesis.given(st.data())
+def test_add_page_keeps_hops_consistent_and_edges_distinct(data):
+    """add_page calls in any order: a call that keeps to breadth-first
+    order (the page is a node at that hop, links from the hop bound are
+    empty, no link reaches past hop + 1) is applied; any other raises and
+    changes nothing. Pages repeat, and links repeat or point back at the
+    page."""
+    names = "abcdefgh"
+    roots = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+    hop_bound = data.draw(st.integers(1, 4))
     graph = OntologyGraph(roots, hop_bound=hop_bound)
     expected: dict[str, list[str]] = {}
-    for page, links, hop in calls:
+    for _ in range(data.draw(st.integers(0, 12))):
+        page = data.draw(st.sampled_from(list(graph.nodes)) | st.sampled_from(names))
+        hop = data.draw(st.just(graph.nodes.get(page, 0)) | st.integers(0, hop_bound))
+        links = data.draw(st.lists(st.sampled_from(names), max_size=6))
+        in_order = (
+            graph.nodes.get(page) == hop
+            and (hop < hop_bound or not links)
+            and all(graph.nodes.get(t, hop + 1) <= hop + 1 for t in links)
+        )
+        before = graph.dumps()
+        if not in_order:
+            with pytest.raises(GraphError):
+                graph.add_page(page, links, hop)
+            assert graph.dumps() == before
+            continue
         graph.add_page(page, links, hop)
         known = expected.setdefault(page, [])
         known.extend(t for t in dict.fromkeys(links) if t != page and t not in known)
-    assert all(graph.hop(root) == 0 for root in roots)
     for page in graph.nodes:
         assert graph.outlinks(page) == expected.get(page, [])
-        assert all(graph.hop(t) <= graph.hop(page) + 1 for t in graph.outlinks(page))
-    assert graph.edge_count == len({(p, t) for p, links, _ in calls for t in links if t != p})
+    assert graph.edge_count == sum(map(len, expected.values()))
+    assert graph.nodes == bfs_hops(graph)
     text = graph.dumps()
     clone = OntologyGraph.loads(text, hop_bound=hop_bound)
     assert clone.dumps() == text
