@@ -25,11 +25,28 @@ differences between levels give the number of nodes at each distance. A
 level costs (active inner edges) x n/30 digit operations (CPython ints
 hold 30-bit digits), and the number of levels is the largest
 eccentricity, so a tree-ish crawl pays a few levels instead of one dict
-BFS per node. Leaves (no outlinks) hold no
-set: they reach only themselves and score int 0. The score adds 1/d once
-per node at distance d, in increasing d -- the float sequence a BFS from
-that node produces -- so ``sum`` returns the same bits as a per-node BFS
-on any CPython, including the compensated ``sum`` of 3.12+.
+BFS per node. Leaves (no outlinks) hold no set: they reach only themselves
+and score int 0.
+
+A score is the float sum a BFS from its node produces: 1/d added once per
+node at distance d, in increasing d, by the builtin ``sum`` -- sequential
+before CPython 3.12, Neumaier-compensated from 3.12 on. ``_run_sum``
+returns exactly that float from the runs ``(1/d, count_d)`` without
+adding term by term. Inside one binade (the floats between two powers of
+two are evenly spaced) an add of the same term moves the sum by the same
+rounded step, so a run of adds is one exact multiply-add per binade, with
+single adds at binade crossings and at round-half-even ties, and a run
+none of whose adds rounds is a single add. The compensated sum's error
+term is constant on those stretches too, so it takes its errors as runs
+of its own. Which ``sum`` the interpreter has is
+probed once at import. A node with thousands of nodes in reach costs a few
+dozen float operations instead of thousands of adds.
+
+PageRank's leaves mostly have a single in-link, and a breadth-first node
+order lists a page's new leaves side by side. Each iteration fills such
+index ranges with one slice assignment of ``base + share`` -- the bits of
+``base`` followed by its one ``+= share`` -- and keeps the ordered ``+=``
+only for nodes with more than one in-link.
 """
 
 from __future__ import annotations
@@ -38,7 +55,8 @@ import csv
 import heapq
 import io
 from dataclasses import dataclass
-from itertools import chain, repeat
+from math import frexp, isfinite, ldexp
+from operator import sub
 
 from .graph import ConceptSubgraph
 
@@ -158,10 +176,105 @@ def closeness(subgraph: ConceptSubgraph) -> dict[str, float]:
         active = [j for j, _, _ in grown]
     scores = {node: 0 for node in nodes}
     for node, per_level in zip(inner, counts):
-        scores[node] = sum(chain.from_iterable(
-            repeat(1.0 / d, c) for d, c in enumerate(per_level, start=1)
-        ))
+        scores[node] = _run_sum([(1.0 / d, c) for d, c in enumerate(per_level, start=1)])
     return scores
+
+
+# ---------------------------------------------------------------------------
+# exact run sums
+# ---------------------------------------------------------------------------
+
+def _steady_adds(acc, x: float, t: float, n: int) -> int:
+    """How many of ``n`` float adds of ``x`` to ``acc`` each move it by the
+    first add's step ``t - acc`` (``t == acc + x``); at least 1.
+
+    Inside one binade [2**(e-1), 2**e) the floats are evenly spaced, so an
+    add of ``x`` rounds to the same step wherever it starts, unless ``x`` is
+    a tie at that spacing; then round-half-even fixes the step from the
+    second add on. So when the second add repeats the first step, every add
+    that lands strictly inside the binade repeats it too. ``|x| <= |acc|``
+    keeps ``t - acc`` exact.
+    """
+    step = t - acc
+    if n < 2 or abs(x) > abs(acc) or t + x - t != step:
+        return 1  # one add, x outweighing acc, a tie or a crossing: add singly
+    m, e = frexp(acc)  # acc == m * 2**e, 0.5 <= |m| < 1
+    if (m > 0) == (step > 0):  # away from zero: up to the binade's top
+        room = ldexp(1.0 - abs(m), e)
+    else:  # toward zero: down to its bottom, below which the spacing halves
+        room = ldexp(abs(m) - 0.5, e)
+    # The most adds that land strictly inside: never on the edge itself.
+    return max(1, min(n, int(-(-room // abs(step))) - 1))
+
+
+def _add_run(acc, x: float, n: int):
+    """``acc`` after ``n`` sequential ``acc += x``, float for float."""
+    while n:
+        t = acc + x
+        if t == acc:  # x no longer moves acc, and never will
+            return t
+        if isfinite(t):
+            # On the finest grid of acc and x, every partial sum is an
+            # integer between the first and the last: if both fit in 53
+            # bits, no add rounds, and the run is one exact sum.
+            a, p = acc.as_integer_ratio()
+            b, q = x.as_integer_ratio()
+            if p < q:
+                a, p = a * (q // p), q
+            else:
+                b *= p // q
+            last = a + n * b
+            if max(abs(a), abs(last)) <= 1 << 53:
+                return last / p
+        k = _steady_adds(acc, x, t, n)
+        acc = acc + k * (t - acc) if k > 1 else t  # k * step is exact
+        n -= k
+    return acc
+
+
+def _sequential_run_sum(runs: list[tuple[float, int]]):
+    """``sum`` of ``runs`` (``(x, count)`` pairs) as CPython < 3.12 adds
+    floats: one rounded add after another."""
+    acc = 0
+    for x, n in runs:
+        acc = _add_run(acc, x, n)
+    return acc
+
+
+def _compensated_run_sum(runs: list[tuple[float, int]]):
+    """``sum`` of ``runs`` as CPython 3.12+ adds floats: Neumaier's (1974)
+    compensated sum, whose running total ``s`` follows the sequential sum
+    and whose compensation ``c`` adds up the rounding error of each add.
+
+    While ``s`` takes a steady step, that error ``(s - t) + x`` is constant
+    too, so ``c`` takes each segment's errors as one run of its own; once
+    ``s`` absorbs ``x``, ``c`` takes ``x`` for every remaining add.
+    """
+    s, c = 0, 0.0
+    for x, n in runs:
+        while n:
+            t = s + x
+            if abs(s) < abs(x):
+                c += (x - t) + s
+                k = 1
+            elif t == s:
+                c = _add_run(c, (s - t) + x, n)
+                k = n
+            else:
+                k = _steady_adds(s, x, t, n)
+                c = _add_run(c, (s - t) + x, k)
+                if k > 1:
+                    t = s + k * (t - s)
+            s = t
+            n -= k
+    if c and isfinite(c):
+        s += c
+    return s
+
+
+# ``sum`` of a float list, whichever way this interpreter's builtin adds:
+# the compensated sum gets 0.1 * 10 right, the sequential one does not.
+_run_sum = _compensated_run_sum if sum([0.1] * 10) == 1.0 else _sequential_run_sum
 
 
 def pagerank(subgraph: ConceptSubgraph, params: PageRankParams | None = None) -> PageRankResult:
@@ -171,6 +284,12 @@ def pagerank(subgraph: ConceptSubgraph, params: PageRankParams | None = None) ->
     below ``params.tolerance``; if ``max_iterations`` passes first, the
     last iterate is returned with ``converged=False``. Scores sum to 1.
     Every sum runs in node order, so results do not depend on hashing.
+
+    A node with a single in-link (repeated links and self-links counted)
+    gets ``base + share`` in one add, so a source writes those of its
+    targets at consecutive indices with one slice assignment; the other
+    targets take their shares by ``+=`` in the order the edges list them.
+    Every score keeps the bits of the plain edge-by-edge scatter.
     """
     params = params or PageRankParams()
     nodes = subgraph.nodes
@@ -178,23 +297,40 @@ def pagerank(subgraph: ConceptSubgraph, params: PageRankParams | None = None) ->
     if n == 0:
         raise ValueError("pagerank needs a non-empty subgraph")
     d = params.damping
-    adjacency = subgraph.adjacency
     index = {node: i for i, node in enumerate(nodes)}
-    dangling = [i for i, node in enumerate(nodes) if not adjacency[node]]
-    linked = [
-        (i, [index[v] for v in adjacency[node]]) for i, node in enumerate(nodes) if adjacency[node]
-    ]
+    targets = [[index[v] for v in subgraph.adjacency[node]] for node in nodes]
+    in_links = [0] * n  # repeated links and self-links counted
+    for out in targets:
+        for v in out:
+            in_links[v] += 1
+    dangling = [i for i, out in enumerate(targets) if not out]
+    linked = []  # (source, out-degree, [lo, hi) ranges of sole targets, other targets)
+    for i, out in enumerate(targets):
+        if out:
+            ranges, shared = [], []
+            for v in out:
+                if in_links[v] > 1:
+                    shared.append(v)
+                elif ranges and ranges[-1][1] == v:
+                    ranges[-1][1] = v + 1
+                else:
+                    ranges.append([v, v + 1])
+            linked.append((i, len(out), ranges, shared))
     rank = [1.0 / n] * n
     converged = False
     iterations = 0
     for iterations in range(1, params.max_iterations + 1):
-        base = (1.0 - d) / n + d * sum([rank[i] for i in dangling]) / n
+        base = (1.0 - d) / n + d * sum(map(rank.__getitem__, dangling)) / n
         nxt = [base] * n
-        for i, out in linked:
-            share = d * rank[i] / len(out)
-            for v in out:
+        for i, out_degree, ranges, shared in linked:
+            share = d * rank[i] / out_degree
+            if ranges:  # a node with one in-link is base plus one share
+                value = base + share
+                for lo, hi in ranges:
+                    nxt[lo:hi] = [value] * (hi - lo)
+            for v in shared:
                 nxt[v] += share
-        delta = sum([abs(a - b) for a, b in zip(nxt, rank)])
+        delta = sum(map(abs, map(sub, nxt, rank)))
         rank = nxt
         if delta < params.tolerance:
             converged = True

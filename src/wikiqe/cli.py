@@ -155,8 +155,9 @@ def _read_urls(path: Path) -> list[str]:
 
 
 def cmd_eval(args) -> int:
-    if not Path(args.runs).is_dir():
-        raise NotADirectoryError(f"--runs {args.runs}: not a directory")
+    for flag, path in (("--runs", args.runs), ("--gold", args.gold)):
+        if not Path(path).is_dir():
+            raise NotADirectoryError(f"{flag} {path}: not a directory")
     judgments = JudgmentSet.from_csv(args.judgments) if args.judgments else JudgmentSet({})
     by_slug: dict[str, list[str]] = {}  # run files name a query by its slug only
     for query in judgments.queries():

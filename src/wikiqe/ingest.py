@@ -348,10 +348,20 @@ class WikiClient:
             "srlimit": limit,
             "format": "json",
         })
-        hits = data.get("query", {}).get("search", [])
+        results = data.get("query", {}) if isinstance(data, dict) else None
+        hits = results.get("search", []) if isinstance(results, dict) else None
+        if not isinstance(hits, list):
+            raise FetchError(f"malformed search response for {query!r}: no list of hits")
         titles = []
         for hit in hits:
-            title = normalize_title(hit["title"])
+            title = hit.get("title") if isinstance(hit, dict) else None
+            if not isinstance(title, str):
+                raise FetchError(f"malformed search response for {query!r}: "
+                                 f"a hit without a title: {hit!r}")
+            try:
+                title = normalize_title(title)
+            except ValueError as exc:
+                raise FetchError(f"malformed search response for {query!r}: {exc}") from None
             if title not in titles:
                 titles.append(title)
         return titles
@@ -365,22 +375,41 @@ class WikiClient:
             "redirects": 1,
             "format": "json",
         })
+
+        def malformed(problem: str) -> FetchError:
+            return FetchError(f"malformed parse response for {title!r}: {problem}")
+
+        if not isinstance(data, dict):
+            raise malformed("not an object")
         if "error" in data:
-            if data["error"].get("code") in ("missingtitle", "invalidtitle"):
+            error = data["error"]
+            if not isinstance(error, dict):
+                raise malformed(f"error is not an object: {error!r}")
+            if error.get("code") in ("missingtitle", "invalidtitle"):
                 return PageRecord(
                     title=title, outlinks=[], fetched_at=time.time(),
                     source="live", missing=True,
                 )
-            raise FetchError(f"API error for {title!r}: {data['error']}")
-        parse = data["parse"]
+            raise FetchError(f"API error for {title!r}: {error}")
+        parse = data.get("parse")
+        if not isinstance(parse, dict):
+            raise malformed("no parse object")
         properties = parse.get("properties", [])
         if isinstance(properties, dict):  # formatversion differences
             disambiguation = "disambiguation" in properties
-        else:
+        elif isinstance(properties, list) and all(isinstance(p, dict) for p in properties):
             disambiguation = any(p.get("name") == "disambiguation" for p in properties)
+        else:
+            raise malformed(f"properties is not a list of objects: {properties!r}")
+        text = parse.get("text", {})
+        if not isinstance(text, dict):
+            raise malformed(f"text is not an object: {text!r}")
+        html = text.get("*", "")
+        if not isinstance(html, str):
+            raise malformed(f"page HTML is a {type(html).__name__}, not a string")
         return PageRecord(
             title=title,
-            outlinks=_article_links(parse.get("text", {}).get("*", "")),
+            outlinks=_article_links(html),
             fetched_at=time.time(),
             source="live",
             disambiguation=disambiguation,

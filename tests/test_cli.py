@@ -15,7 +15,7 @@ from conftest import hashed_name
 from wikiqe.cli import main
 from wikiqe.config import ConfigError, RunConfig, benchmark_queries, query_slug
 from wikiqe.fusion import SIX_SOURCE_WEIGHTS
-from wikiqe.ingest import PageCache, PageRecord, WikiSource, search_key
+from wikiqe.ingest import PageCache, PageRecord, WikiClient, WikiSource, search_key
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -418,6 +418,35 @@ def test_bench_skips_missing_fixture_and_continues(tmp_path, capsys):
     assert len(out.splitlines()) == 2  # header + the one expandable query
 
 
+def test_bench_skips_only_queries_hit_by_a_malformed_api_payload(tmp_path, capsys, monkeypatch):
+    pages = {
+        "alcoholism": {"parse": {"text": {"*": '<a href="/wiki/Binge_drinking">b</a>'}}},
+        "binge drinking": {"parse": {"text": {"*": '<a href="/wiki/Alcoholism">a</a>'}}},
+        "mercury": {"parse": {"text": "<p>a string, not an object</p>"}},
+    }
+    searches = {
+        "alcoholism": [{"title": "Alcoholism"}],
+        "mercury": [{"title": "Mercury"}],
+        "broken": [{"ns": 0, "pageid": 7}],
+    }
+
+    def transport(params):
+        if params["action"] == "query":
+            return {"query": {"search": searches[params["srsearch"]]}}
+        return pages[params["page"]]
+
+    client = WikiClient(transport=transport, request_interval=0)
+    monkeypatch.setattr("wikiqe.cli._source",
+                        lambda config: WikiSource(PageCache(tmp_path / "cache"), client))
+    queries = tmp_path / "queries.txt"
+    queries.write_text("broken\nalcoholism\nmercury\n")
+    code, out, err = run_cli(capsys, "bench", "--queries", str(queries))
+    assert code == 0
+    assert [row.split(",")[0] for row in out.splitlines()] == ["query", "alcoholism"]
+    assert "skipping 'broken': malformed search response for 'broken'" in err
+    assert "skipping 'mercury': malformed parse response for 'mercury'" in err
+
+
 def test_bench_skips_only_queries_hit_by_a_truncated_cache_record(tmp_path, capsys):
     snapshot = tmp_path / "snapshot"
     shutil.copytree(FIXTURES / "snapshot", snapshot)
@@ -627,3 +656,14 @@ def test_eval_runs_that_is_not_a_directory_is_an_error(tmp_path, capsys, make):
     make(runs)
     code, out, err = run_cli(capsys, "eval", "--runs", str(runs), "--gold", str(tmp_path))
     assert (code, out, err) == (1, "", f"error: --runs {runs}: not a directory\n")
+
+
+@pytest.mark.parametrize("make", [lambda path: None, lambda path: path.write_text("x\n")],
+                         ids=["missing", "a-file"])
+def test_eval_gold_that_is_not_a_directory_is_an_error(tmp_path, capsys, make):
+    urls = [f"https://u/{i}" for i in range(3)]
+    runs, _ = make_eval_dirs(tmp_path, urls, urls)
+    gold = tmp_path / "no-gold"
+    make(gold)
+    code, out, err = run_cli(capsys, "eval", "--runs", str(runs), "--gold", str(gold))
+    assert (code, out, err) == (1, "", f"error: --gold {gold}: not a directory\n")

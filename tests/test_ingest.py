@@ -421,6 +421,35 @@ def test_client_page_missing_title():
     assert record.outlinks == []
 
 
+@pytest.mark.parametrize("payload", [
+    {"batchcomplete": ""},
+    {"error": "missingtitle"},
+    {"parse": {"title": "x", "text": PARSE_HTML}},
+    {"parse": {"title": "x", "text": {"*": PARSE_HTML}, "properties": ["disambiguation"]}},
+    {"parse": {"title": "x", "text": {"*": None}}},
+    {"parse": {"title": "x", "text": {"*": ["<a href='/wiki/A'>a</a>"]}}},
+    ["parse"],
+], ids=["no-parse", "error-string", "text-string", "property-string", "html-none",
+        "html-list", "not-an-object"])
+def test_client_page_malformed_payload_is_a_fetch_error_naming_the_title(payload):
+    client = WikiClient(transport=lambda params: payload, request_interval=0)
+    with pytest.raises(FetchError, match="malformed parse response for 'alcoholism'"):
+        client.page("alcoholism")
+
+
+@pytest.mark.parametrize("payload", [
+    {"query": {"search": [{"title": "Alcoholism"}, {"ns": 0, "pageid": 7}]}},
+    {"query": {"search": ["Alcoholism"]}},
+    {"query": {"search": [{"title": " _ "}]}},
+    {"query": {"search": {"title": "Alcoholism"}}},
+    {"query": "search"},
+], ids=["hit-without-title", "hit-string", "empty-title", "hits-object", "query-string"])
+def test_client_search_malformed_payload_is_a_fetch_error_naming_the_query(payload):
+    client = WikiClient(transport=lambda params: payload, request_interval=0)
+    with pytest.raises(FetchError, match="malformed search response for 'binge'"):
+        client.search("binge", 5)
+
+
 def test_client_search_normalizes_titles():
     payload = {"query": {"search": [{"title": "Binge_drinking"}, {"title": "Alcoholism"}]}}
     client = WikiClient(transport=lambda params: payload, request_interval=0)
