@@ -15,29 +15,32 @@ give identical output files (timing columns aside). Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from pathlib import Path
 
-from .centrality import build_table
-from .config import RunConfig, benchmark_queries, query_slug
-from .expand import expand_query, rewrite
-from .fusion import (
-    FixtureEngineAdapter,
-    FusionError,
-    KnowledgeWeights,
-    gold_source_lists,
-    gold_variants,
-    run_mse,
-)
-from .graph import GraphError
-from .ingest import IngestError, WikiSource, search_key
-from .metrics import EvalReport, JudgmentSet, csv_table, timed
-from .text import _read_text, default_stopwords, load_stopwords
+from .text import _read_text, default_stopwords, load_stopwords, query_slug
+
+# Each command imports the modules its flow runs where it calls them, so a
+# run loads only those: ``eval`` never loads the crawl, graph or centrality
+# code, ``expand`` never loads fusion or metrics. A name imported in a
+# function body is read from its module at call time, which is where
+# tracing wrappers sit.
+
+
+def _errors() -> tuple[type[Exception], ...]:
+    """What ``main`` reports as ``error: ...`` with exit code 1. Python
+    evaluates an except clause only when an exception propagates, so a
+    command that succeeds never imports the modules defining these."""
+    from .fusion import FusionError
+    from .graph import GraphError
+    from .ingest import IngestError
+
+    return (IngestError, GraphError, FusionError, OSError, ValueError)
 
 
 def _configure(args) -> RunConfig:
+    from .config import RunConfig
+
     config = RunConfig.load(args.config) if args.config else RunConfig()
     if args.snapshot:
         config.snapshot_dir = Path(args.snapshot)
@@ -51,6 +54,8 @@ def _stopwords(config: RunConfig):
 
 
 def _source(config: RunConfig) -> WikiSource:
+    from .ingest import WikiSource
+
     return WikiSource.from_env(
         snapshot_dir=config.snapshot_dir,
         request_interval=config.crawl.request_interval,
@@ -59,12 +64,16 @@ def _source(config: RunConfig) -> WikiSource:
 
 def _best_table(config: RunConfig, graph):
     """Pick the best concept of a crawled graph and score its subgraph."""
+    from .centrality import build_table
+
     best = graph.select_best_concept()
     return best, build_table(best, config.pagerank)
 
 
 def _expand(config: RunConfig, graph, query: str, m: int, stopwords):
     """The post-graph QE stage: ``expand`` prints it, ``bench`` times it."""
+    from .expand import expand_query
+
     best, table = _best_table(config, graph)
     return best, expand_query(table, query, m, stopwords)
 
@@ -90,6 +99,8 @@ def _write_report(out: str | None, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_expand(args) -> int:
+    from .expand import rewrite
+
     if args.m < 1:
         raise ValueError(f"m must be >= 1, got {args.m}")
     config = _configure(args)
@@ -113,8 +124,19 @@ def cmd_expand(args) -> int:
 
 
 def cmd_gold(args) -> int:
+    from .fusion import (
+        FixtureEngineAdapter,
+        FusionError,
+        KnowledgeWeights,
+        gold_source_lists,
+        gold_variants,
+        run_mse,
+    )
+
     if args.k < 1:
         raise ValueError(f"k must be >= 1, got {args.k}")
+    if args.cap < 1:
+        raise ValueError(f"cap must be >= 1, got {args.cap}")
     config = _configure(args)
     if args.preset:
         config.apply_preset(args.preset)
@@ -155,6 +177,8 @@ def _read_urls(path: Path) -> list[str]:
 
 
 def cmd_eval(args) -> int:
+    from .metrics import EvalReport, JudgmentSet, csv_table
+
     for flag, path in (("--runs", args.runs), ("--gold", args.gold)):
         if not Path(path).is_dir():
             raise NotADirectoryError(f"{flag} {path}: not a directory")
@@ -199,6 +223,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import csv
+    import io
+
+    from .ingest import IngestError, search_key
+    from .metrics import timed
+
     if args.m < 1:
         raise ValueError(f"m must be >= 1, got {args.m}")
     config = _configure(args)
@@ -229,6 +259,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_queries(args) -> int:
+    from .config import benchmark_queries
+
     for query in benchmark_queries():
         print(query)
     return 0
@@ -291,7 +323,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (IngestError, GraphError, FusionError, OSError, ValueError) as exc:
+    except _errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

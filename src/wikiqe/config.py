@@ -16,16 +16,22 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .centrality import PageRankParams
-from .fusion import (
-    DEFAULT_ENGINES,
-    SIX_SOURCE_WEIGHTS,
-    GRAPH_TUNED_WEIGHTS,
-    EngineConfig,
-    KnowledgeWeights,
-)
+from .expand import KNOWLEDGE_SOURCES
 from .ingest import CrawlConfig
+from .text import query_slug
 
-__all__ = ["ConfigError", "RunConfig", "BASIC_QUERIES", "benchmark_queries", "query_slug"]
+__all__ = [
+    "ConfigError",
+    "RunConfig",
+    "EngineConfig",
+    "KnowledgeWeights",
+    "DEFAULT_ENGINES",
+    "SIX_SOURCE_WEIGHTS",
+    "GRAPH_TUNED_WEIGHTS",
+    "BASIC_QUERIES",
+    "benchmark_queries",
+    "query_slug",
+]
 
 # The ten basic multi-domain benchmark queries (five two-term, five
 # three-term); benchmark_queries() expands them with operator joins.
@@ -54,10 +60,51 @@ def benchmark_queries() -> list[str]:
     return queries
 
 
-def query_slug(query: str) -> str:
-    """Filesystem-safe identifier for a query."""
-    cleaned = "".join(ch if ch.isalnum() else "_" for ch in query.casefold())
-    return "_".join(filter(None, cleaned.split("_")))
+@dataclass(frozen=True)
+class EngineConfig:
+    engine_id: str
+    confidence: int
+
+    def __post_init__(self):
+        if self.confidence <= 0:
+            raise ValueError(f"engine confidence must be > 0, got {self.confidence}")
+
+
+@dataclass(frozen=True)
+class KnowledgeWeights:
+    """Per-source weights used when fusing expanded-query result lists."""
+
+    degree: int = 0
+    closeness: int = 0
+    pagerank: int = 0
+    wordnet: int = 0
+    wikisynonyms: int = 0
+    moby: int = 0
+
+    def __post_init__(self):
+        values = self.as_map().values()
+        if any(w < 0 for w in values):
+            raise ValueError("knowledge weights must be >= 0")
+        if not any(values):
+            raise ValueError("at least one knowledge weight must be > 0")
+
+    def as_map(self) -> dict[str, int]:
+        return {source: getattr(self, source) for source in KNOWLEDGE_SOURCES}
+
+
+# Reference set-ups: the five fixture engine ids with their confidence
+# values, the six-source weight split, and the graph-only tuned triple.
+DEFAULT_ENGINES = [
+    EngineConfig("google", 30),
+    EngineConfig("lycos", 25),
+    EngineConfig("bing", 20),
+    EngineConfig("ask", 15),
+    EngineConfig("exalead", 10),
+]
+SIX_SOURCE_WEIGHTS = KnowledgeWeights(
+    degree=30, closeness=20, pagerank=20, wordnet=10, wikisynonyms=10, moby=10
+)
+GRAPH_TUNED_WEIGHTS = KnowledgeWeights(degree=20, closeness=30, pagerank=20)
 
 
 class ConfigError(ValueError):

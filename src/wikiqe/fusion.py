@@ -21,6 +21,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .centrality import CentralityTable
+from .config import (
+    DEFAULT_ENGINES,
+    GRAPH_TUNED_WEIGHTS,
+    SIX_SOURCE_WEIGHTS,
+    EngineConfig,
+    KnowledgeWeights,
+)
 from .expand import (
     KNOWLEDGE_SOURCES,
     THESAURUS_SOURCES,
@@ -84,51 +91,6 @@ def normalize_url(url: str) -> str:
     return urllib.parse.urlunsplit((scheme, netloc, parts.path, parts.query, ""))
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    engine_id: str
-    confidence: int
-
-    def __post_init__(self):
-        if self.confidence <= 0:
-            raise ValueError(f"engine confidence must be > 0, got {self.confidence}")
-
-
-@dataclass(frozen=True)
-class KnowledgeWeights:
-    """Per-source weights used when fusing expanded-query result lists."""
-
-    degree: int = 0
-    closeness: int = 0
-    pagerank: int = 0
-    wordnet: int = 0
-    wikisynonyms: int = 0
-    moby: int = 0
-
-    def __post_init__(self):
-        values = self.as_map().values()
-        if any(w < 0 for w in values):
-            raise ValueError("knowledge weights must be >= 0")
-        if not any(values):
-            raise ValueError("at least one knowledge weight must be > 0")
-
-    def as_map(self) -> dict[str, int]:
-        return {source: getattr(self, source) for source in KNOWLEDGE_SOURCES}
-
-
-# Reference set-ups: the five fixture engine ids with their confidence
-# values, the six-source weight split, and the graph-only tuned triple.
-DEFAULT_ENGINES = [
-    EngineConfig("google", 30),
-    EngineConfig("lycos", 25),
-    EngineConfig("bing", 20),
-    EngineConfig("ask", 15),
-    EngineConfig("exalead", 10),
-]
-SIX_SOURCE_WEIGHTS = KnowledgeWeights(
-    degree=30, closeness=20, pagerank=20, wordnet=10, wikisynonyms=10, moby=10
-)
-GRAPH_TUNED_WEIGHTS = KnowledgeWeights(degree=20, closeness=30, pagerank=20)
 GOLD_M = 10  # QE terms per knowledge source when generating the gold standard
 
 

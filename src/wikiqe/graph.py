@@ -236,12 +236,15 @@ class OntologyGraph:
         """Rebuild a graph from its serialized form (bit-exact round-trip).
 
         Nodes keep file order; roots are the hop-0 records. ``hop_bound``
-        defaults to the largest hop present. Every hop must be the
-        breadth-first distance from the roots: raises GraphError naming the
-        line for a malformed record, a negative hop or one past ``hop_bound``,
-        a bad or duplicate title, a link to a title with no record, a link
-        that breaks the hop rule of ``add_page``, and a non-root record that
-        no page one hop closer links to (a short hop or an unreachable page).
+        defaults to the largest hop present, plus one when a page at that hop
+        has links: the least bound under which ``add_page`` builds the graph,
+        so every crawl's dump loads. Every hop must be the breadth-first
+        distance from the roots: raises GraphError naming the line for a
+        malformed record, a negative hop or one past ``hop_bound``, links from
+        a page at ``hop_bound``, a bad or duplicate title, a link to a title
+        with no record, a link that breaks the hop rule of ``add_page``, and a
+        non-root record that no page one hop closer links to (a short hop or
+        an unreachable page).
         """
         records: list[tuple[int, str, int, list[str]]] = []
         line_of: dict[str, int] = {}
@@ -263,6 +266,10 @@ class OntologyGraph:
                 raise GraphError(f"line {lineno}: negative hop {hop}")
             if hop_bound is not None and hop > hop_bound:
                 raise GraphError(f"line {lineno}: hop {hop} exceeds bound {hop_bound}")
+            if hop == hop_bound and links:
+                raise GraphError(
+                    f"line {lineno}: page {title!r} at hop {hop} must be a leaf (bound {hop_bound})"
+                )
             if title in line_of:
                 raise GraphError(f"line {lineno}: duplicate record for {title!r} (line {line_of[title]})")
             line_of[title] = lineno
@@ -270,7 +277,8 @@ class OntologyGraph:
         if not records:
             raise GraphError("empty graph serialization")
         if hop_bound is None:
-            hop_bound = max(1, max(hop for _, _, hop, _ in records))
+            top = max(hop for _, _, hop, _ in records)
+            hop_bound = max(1, top + any(links for _, _, hop, links in records if hop == top))
         graph = cls([title for _, title, hop, _ in records if hop == 0], hop_bound=hop_bound)
         graph._hops = {title: hop for _, title, hop, _ in records}
         graph._adjacency = {title: [] for title in graph._hops}

@@ -437,9 +437,12 @@ class WikiSource:
         request_interval: float = 0.5,
     ) -> "WikiSource":
         """Snapshot mode when a snapshot dir is given (argument wins over the
-        WMS_SNAPSHOT_DIR environment variable); live mode otherwise."""
+        WMS_SNAPSHOT_DIR environment variable); live mode otherwise. A
+        snapshot path that is not a directory raises :class:`IngestError`."""
         snapshot = snapshot_dir or os.environ.get(SNAPSHOT_ENV)
         if snapshot:
+            if not os.path.isdir(snapshot):
+                raise IngestError(f"snapshot {snapshot}: not a directory")
             return cls(PageCache(snapshot))
         cache = PageCache(cache_dir or Path.home() / ".cache" / "wikiqe")
         client = WikiClient(api_url=api_url, request_interval=request_interval)

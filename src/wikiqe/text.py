@@ -7,7 +7,10 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-__all__ = ["tokenize", "content_tokens", "query_terms", "load_stopwords", "default_stopwords"]
+__all__ = [
+    "tokenize", "content_tokens", "query_terms", "query_slug", "load_stopwords",
+    "default_stopwords",
+]
 
 # Boolean operators users type between query terms; dropped everywhere.
 OPERATORS = {"and", "or"}
@@ -26,6 +29,12 @@ def content_tokens(query: str) -> list[str]:
 def query_terms(query: str, stopwords: frozenset[str]) -> list[str]:
     """Lowercased query tokens minus operators and stopwords."""
     return [tok for tok in tokenize(query) if tok not in OPERATORS and tok not in stopwords]
+
+
+def query_slug(query: str) -> str:
+    """Filesystem-safe identifier for a query."""
+    cleaned = "".join(ch if ch.isalnum() else "_" for ch in query.casefold())
+    return "_".join(filter(None, cleaned.split("_")))
 
 
 def _read_text(path: str | Path, newline: str | None = None) -> str:

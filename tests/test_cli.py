@@ -106,6 +106,19 @@ def test_expand_shortfall_exit_code(tmp_path, capsys):
     assert "warning" in out
 
 
+@pytest.mark.parametrize("make", [lambda path: None, lambda path: path.write_text("x\n")],
+                         ids=["missing", "a-file"])
+def test_snapshot_that_is_not_a_directory_is_an_error(tmp_path, capsys, make):
+    # It used to read as an empty snapshot and blame the query.
+    snapshot = tmp_path / "snapshot"
+    make(snapshot)
+    code, out, err = run_cli(
+        capsys, "expand", QUERY, "--config", CONFIG, "--snapshot", str(snapshot),
+        "--out", str(tmp_path / "out"),
+    )
+    assert (code, out, err) == (1, "", f"error: snapshot {snapshot}: not a directory\n")
+
+
 def test_stale_index_json_in_snapshot_is_ignored(tmp_path, capsys):
     snapshot = tmp_path / "snapshot"
     shutil.copytree(FIXTURES / "snapshot", snapshot)
@@ -178,6 +191,19 @@ def test_gold_rejects_k_below_one(tmp_path, capsys, k):
     assert code == 1
     assert err.startswith("error: k must be >= 1")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_gold_rejects_cap_below_one_before_the_crawl(tmp_path, capsys, monkeypatch, cap):
+    crawled = []
+    monkeypatch.setattr(WikiSource, "build_graph", lambda self, query, config: crawled.append(query))
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(
+        capsys, "gold", QUERY, "--cap", str(cap), "--config", CONFIG, "--out", str(out)
+    )
+    assert (code, stdout, err) == (1, "", f"error: cap must be >= 1, got {cap}\n")
+    assert crawled == []
+    assert not out.exists()
 
 
 def test_gold_sets_nest_by_prefix(tmp_path, capsys):

@@ -279,6 +279,8 @@ def test_loads_rejects_malformed_lines():
     ("a\t0\tb\nb\t-1\t\n", None, "line 2: negative hop -1"),
     # a hop longer than the shortest path used to load unchecked
     ("a\t0\tb\nb\t7\t\n", None, "line 2: 'b' at hop 7, but 'a' at hop 0 links to it"),
+    # add_page's leaf rule used to be skipped
+    ("a\t0\tb\nb\t1\ta\n", 1, r"line 2: page 'b' at hop 1 must be a leaf \(bound 1\)"),
 ])
 def test_loads_rejects_inconsistent_records(text, hop_bound, message):
     with pytest.raises(GraphError, match=message):
@@ -341,3 +343,19 @@ def test_line_boundaries_in_titles_rejected(char):
     with pytest.raises(GraphError, match="reserved character"):
         OntologyGraph([f"b{char}c"])
     assert graph.dumps() == "a\t0\t\n"
+
+
+def test_loads_default_bound_is_one_past_the_deepest_hop_with_links():
+    text = "a\t0\tb\nb\t1\ta\n"
+    graph = OntologyGraph.loads(text)
+    assert graph.hop_bound == 2
+    assert graph.dumps() == text
+    assert OntologyGraph.loads("a\t0\tb\nb\t1\t\n").hop_bound == 1
+
+
+@pytest.mark.parametrize("wiki", ["fixtures", 7])
+def test_crawl_graphs_load_at_their_crawl_bound(tmp_path, wiki):
+    for graph in crawl_graphs(tmp_path, wiki):
+        text = graph.dumps()
+        assert OntologyGraph.loads(text, hop_bound=graph.hop_bound).dumps() == text
+        assert OntologyGraph.loads(text).hop_bound <= graph.hop_bound

@@ -217,6 +217,17 @@ def test_env_var_selects_snapshot_mode(tmp_path, monkeypatch):
     assert source.snapshot_mode
 
 
+@pytest.mark.parametrize("via_env", [False, True], ids=["argument", "env"])
+def test_snapshot_path_that_is_not_a_directory_is_an_error(tmp_path, monkeypatch, via_env):
+    (tmp_path / "a-file").write_text("x\n")
+    monkeypatch.delenv(SNAPSHOT_ENV, raising=False)
+    for snapshot in (tmp_path / "missing", tmp_path / "a-file"):
+        if via_env:
+            monkeypatch.setenv(SNAPSHOT_ENV, str(snapshot))
+        with pytest.raises(IngestError, match=f"^snapshot {snapshot}: not a directory$"):
+            WikiSource.from_env(snapshot_dir=None if via_env else snapshot)
+
+
 # ---------------------------------------------------------------------------
 # candidate resolution
 # ---------------------------------------------------------------------------
