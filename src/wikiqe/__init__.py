@@ -42,9 +42,8 @@ _EXPORTS = {
             "EvalReport", "JudgmentSet", "cohens_kappa", "improvement_ratios", "ndcg_at",
             "precision_at", "success_at", "timed",
         ),
-        "config": (
-            "ConfigError", "EngineConfig", "KnowledgeWeights", "RunConfig", "benchmark_queries",
-        ),
+        "config": ("ConfigError", "EngineConfig", "KnowledgeWeights", "RunConfig"),
+        "text": ("benchmark_queries",),
     }.items()
     for name in names
 }

@@ -15,38 +15,38 @@ Conventions that matter here:
   trees than cycles, so most of their nodes dangle and this choice
   dominates the resulting scores -- change it and every ranking moves.
 
-Both kernels index the nodes by their position in ``subgraph.nodes``.
-Closeness runs one level-synchronous, bit-parallel reachability pass for
-all sources at once (the bit-parallel BFS idea of Akiba, Iwata & Yoshida,
-SIGMOD 2013): every node with outlinks ("inner" node) holds the set of
-nodes within distance d as a Python int used as a bitset, and level d + 1
-ORs in the level-d sets of its inner out-neighbours. The popcount
-differences between levels give the number of nodes at each distance. A
-level costs (active inner edges) x n/30 digit operations (CPython ints
-hold 30-bit digits), and the number of levels is the largest
-eccentricity, so a tree-ish crawl pays a few levels instead of one dict
-BFS per node. Leaves (no outlinks) hold no set: they reach only themselves
-and score int 0.
+Both kernels read ``subgraph.targets``, each node's outlinks as positions
+in ``subgraph.nodes``, derived once per subgraph. Closeness runs one
+level-synchronous, bit-parallel reachability pass for all sources at once
+(the bit-parallel BFS idea of Akiba, Iwata & Yoshida, SIGMOD 2013): every
+node with outlinks ("inner" node) holds the set of nodes within distance d
+as a Python int used as a bitset, and level d + 1 ORs in the level-d sets
+of its inner out-neighbours. The popcount differences between levels give
+the number of nodes at each distance. A level costs (active inner edges) x
+n/30 digit operations (CPython ints hold 30-bit digits), and the number of
+levels is the largest eccentricity, so a tree-ish crawl pays a few levels
+instead of one dict BFS per node. Leaves (no outlinks) hold no set: they
+reach only themselves and score int 0.
 
 A score is the float sum a BFS from its node produces: 1/d added once per
-node at distance d, in increasing d, by the builtin ``sum`` -- sequential
-before CPython 3.12, Neumaier-compensated from 3.12 on. ``_run_sum``
-returns exactly that float from the runs ``(1/d, count_d)`` without
-adding term by term. Inside one binade (the floats between two powers of
-two are evenly spaced) an add of the same term moves the sum by the same
-rounded step, so a run of adds is one exact multiply-add per binade, with
-single adds at binade crossings and at round-half-even ties, and a run
-none of whose adds rounds is a single add. The compensated sum's error
-term is constant on those stretches too, so it takes its errors as runs
-of its own. Which ``sum`` the interpreter has is
-probed once at import. A node with thousands of nodes in reach costs a few
-dozen float operations instead of thousands of adds.
+node at distance d, in increasing d, one rounded add after another from
+int 0 -- the bits the builtin ``sum`` gives before CPython 3.12, on every
+interpreter. ``_run_sum`` returns exactly that float from the runs
+``(1/d, count_d)`` without adding term by term. Inside one binade (the
+floats between two powers of two are evenly spaced) an add of the same
+term moves the sum by the same rounded step, so a run of adds is one
+exact multiply-add per binade, with single adds at binade crossings and
+at round-half-even ties, and a run none of whose adds rounds is a single
+add. A node with thousands of nodes in reach costs a few dozen float
+operations instead of thousands of adds.
 
 PageRank's leaves mostly have a single in-link, and a breadth-first node
 order lists a page's new leaves side by side. Each iteration fills such
 index ranges with one slice assignment of ``base + share`` -- the bits of
 ``base`` followed by its one ``+= share`` -- and keeps the ordered ``+=``
-only for nodes with more than one in-link.
+only for nodes with more than one in-link. Its sums are the builtin
+``sum``, which is compensated from CPython 3.12 on, so PageRank's low bits
+differ between interpreters before and after 3.12.
 """
 
 from __future__ import annotations
@@ -144,20 +144,19 @@ def degree(subgraph: ConceptSubgraph) -> dict[str, int]:
 def closeness(subgraph: ConceptSubgraph) -> dict[str, float]:
     """Harmonic closeness over outgoing shortest paths, per node."""
     nodes = subgraph.nodes
-    adjacency = subgraph.adjacency
-    index = {node: i for i, node in enumerate(nodes)}
-    inner = [node for node in nodes if adjacency[node]]
-    slot = {node: j for j, node in enumerate(inner)}
+    targets = subgraph.targets
+    inner = [i for i, out in enumerate(targets) if out]
+    slot = {i: j for j, i in enumerate(inner)}
     # Level 1: the node itself and its outlinks.
     reach = []
-    for node in inner:
-        bits = 1 << index[node]
-        for target in adjacency[node]:
-            bits |= 1 << index[target]
+    for i in inner:
+        bits = 1 << i
+        for v in targets[i]:
+            bits |= 1 << v
         reach.append(bits)
     seen = [bits.bit_count() for bits in reach]
     counts = [[size - 1] for size in seen]  # nodes at distance 1, 2, ...
-    feeds = [[slot[t] for t in adjacency[node] if t in slot] for node in inner]
+    feeds = [[slot[v] for v in targets[i] if v in slot] for i in inner]
     active = [j for j, feed in enumerate(feeds) if feed]
     while active:
         grown = []
@@ -175,8 +174,8 @@ def closeness(subgraph: ConceptSubgraph) -> dict[str, float]:
             seen[j] = size
         active = [j for j, _, _ in grown]
     scores = {node: 0 for node in nodes}
-    for node, per_level in zip(inner, counts):
-        scores[node] = _run_sum([(1.0 / d, c) for d, c in enumerate(per_level, start=1)])
+    for i, per_level in zip(inner, counts):
+        scores[nodes[i]] = _run_sum([(1.0 / d, c) for d, c in enumerate(per_level, start=1)])
     return scores
 
 
@@ -232,49 +231,13 @@ def _add_run(acc, x: float, n: int):
     return acc
 
 
-def _sequential_run_sum(runs: list[tuple[float, int]]):
-    """``sum`` of ``runs`` (``(x, count)`` pairs) as CPython < 3.12 adds
-    floats: one rounded add after another."""
+def _run_sum(runs: list[tuple[float, int]]):
+    """The left-to-right float sum of ``runs`` (``(x, count)`` pairs): one
+    rounded add after another from int 0, so no terms give int 0."""
     acc = 0
     for x, n in runs:
         acc = _add_run(acc, x, n)
     return acc
-
-
-def _compensated_run_sum(runs: list[tuple[float, int]]):
-    """``sum`` of ``runs`` as CPython 3.12+ adds floats: Neumaier's (1974)
-    compensated sum, whose running total ``s`` follows the sequential sum
-    and whose compensation ``c`` adds up the rounding error of each add.
-
-    While ``s`` takes a steady step, that error ``(s - t) + x`` is constant
-    too, so ``c`` takes each segment's errors as one run of its own; once
-    ``s`` absorbs ``x``, ``c`` takes ``x`` for every remaining add.
-    """
-    s, c = 0, 0.0
-    for x, n in runs:
-        while n:
-            t = s + x
-            if abs(s) < abs(x):
-                c += (x - t) + s
-                k = 1
-            elif t == s:
-                c = _add_run(c, (s - t) + x, n)
-                k = n
-            else:
-                k = _steady_adds(s, x, t, n)
-                c = _add_run(c, (s - t) + x, k)
-                if k > 1:
-                    t = s + k * (t - s)
-            s = t
-            n -= k
-    if c and isfinite(c):
-        s += c
-    return s
-
-
-# ``sum`` of a float list, whichever way this interpreter's builtin adds:
-# the compensated sum gets 0.1 * 10 right, the sequential one does not.
-_run_sum = _compensated_run_sum if sum([0.1] * 10) == 1.0 else _sequential_run_sum
 
 
 def pagerank(subgraph: ConceptSubgraph, params: PageRankParams | None = None) -> PageRankResult:
@@ -297,8 +260,7 @@ def pagerank(subgraph: ConceptSubgraph, params: PageRankParams | None = None) ->
     if n == 0:
         raise ValueError("pagerank needs a non-empty subgraph")
     d = params.damping
-    index = {node: i for i, node in enumerate(nodes)}
-    targets = [[index[v] for v in subgraph.adjacency[node]] for node in nodes]
+    targets = subgraph.targets
     in_links = [0] * n  # repeated links and self-links counted
     for out in targets:
         for v in out:

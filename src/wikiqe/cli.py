@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .text import _read_text, default_stopwords, load_stopwords, query_slug
+from .text import _read_text, benchmark_queries, default_stopwords, load_stopwords, query_slug
 
 # Each command imports the modules its flow runs where it calls them, so a
 # run loads only those: ``eval`` never loads the crawl, graph or centrality
@@ -259,8 +259,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_queries(args) -> int:
-    from .config import benchmark_queries
-
     for query in benchmark_queries():
         print(query)
     return 0

@@ -18,7 +18,9 @@ from pathlib import Path
 from .centrality import PageRankParams
 from .expand import KNOWLEDGE_SOURCES
 from .ingest import CrawlConfig
-from .text import query_slug
+# Re-exported from text: the benchmark workloads and the fixture generator
+# import them from here.
+from .text import BASIC_QUERIES, benchmark_queries, query_slug
 
 __all__ = [
     "ConfigError",
@@ -32,33 +34,6 @@ __all__ = [
     "benchmark_queries",
     "query_slug",
 ]
-
-# The ten basic multi-domain benchmark queries (five two-term, five
-# three-term); benchmark_queries() expands them with operator joins.
-BASIC_QUERIES = [
-    "database overlap",
-    "multilingual OPACs",
-    "programming algorithm",
-    "roadmap plan",
-    "adolescent alcoholism",
-    "comparative education methodology",
-    "java applet programming",
-    "indexing digital libraries",
-    "geographical stroke incidence",
-    "culturally responsive teaching",
-]
-
-
-def benchmark_queries() -> list[str]:
-    """Expand each basic query three ways: plain, AND-joined, OR-joined."""
-    queries = []
-    for basic in BASIC_QUERIES:
-        tokens = basic.split()
-        queries.append(" ".join(tokens))
-        queries.append(" and ".join(tokens))
-        queries.append(" or ".join(tokens))
-    return queries
-
 
 @dataclass(frozen=True)
 class EngineConfig:

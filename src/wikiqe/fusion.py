@@ -208,12 +208,18 @@ class FixtureEngineAdapter:
 
     def search(self, engine_id: str, query: str, limit: int) -> ResultList:
         path = self.fixture_dir / serp_fixture_name(engine_id, query)
-        if not path.exists():
-            raise EngineError(f"no SERP fixture for engine {engine_id!r}, query {query!r} ({path.name})")
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
             rows = [(r["url"], r.get("title", "")) for r in payload["results"][:limit]]
             return ResultList.from_raw(engine_id, query, rows)
+        except FileNotFoundError as exc:
+            raise EngineError(
+                f"no SERP fixture for engine {engine_id!r}, query {query!r} ({path.name})"
+            ) from exc
+        except OSError as exc:  # a directory in its place, no permission, ...
+            raise EngineError(
+                f"unreadable SERP fixture {path.name}: {exc.strerror or exc}"
+            ) from exc
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             # ValueError covers bad JSON and URLs normalize_url rejects (bad port)
             raise EngineError(f"malformed SERP fixture {path.name}: {exc}") from exc

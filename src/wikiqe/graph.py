@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import urllib.parse
 from dataclasses import dataclass, field
+from functools import cached_property
 
 __all__ = [
     "GraphError",
@@ -64,7 +65,8 @@ class ConceptSubgraph:
     ``nodes`` are listed in breadth-first discovery order (deterministic for
     a given parent graph); ``adjacency`` keeps the parent's outlink order.
     ``graph_degree`` is the number of edges in the closure and is the
-    quantity that ranks candidate concepts against each other.
+    quantity that ranks candidate concepts against each other. ``targets``
+    numbers the edges once for the centrality kernels.
     """
 
     root: str
@@ -74,6 +76,12 @@ class ConceptSubgraph:
     @property
     def graph_degree(self) -> int:
         return sum(map(len, self.adjacency.values()))
+
+    @cached_property
+    def targets(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's outlinks as positions in ``nodes``, in outlink order."""
+        index = {node: i for i, node in enumerate(self.nodes)}
+        return tuple(tuple(map(index.__getitem__, self.adjacency[node])) for node in self.nodes)
 
     def __len__(self) -> int:
         return len(self.nodes)

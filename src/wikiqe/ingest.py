@@ -151,8 +151,9 @@ def _write_atomic(path: str, payload: dict) -> None:
 class PageCache:
     """On-disk store of page records and search results, one file per key.
 
-    A missing file is a cache miss. A file that does not parse, or that
-    holds a different key, raises :class:`IngestError` naming the file.
+    A missing file is a cache miss. A file that cannot be read, does not
+    parse, or holds a different key raises :class:`IngestError` naming the
+    file.
     """
 
     def __init__(self, root: str | Path):
@@ -187,6 +188,8 @@ class PageCache:
             return None
         except ValueError as exc:  # invalid JSON or UTF-8
             raise IngestError(f"malformed cache record {path}: {exc}") from None
+        except OSError as exc:  # a directory in its place, no permission, ...
+            raise IngestError(f"unreadable cache record {path}: {exc.strerror or exc}") from None
         if not isinstance(data, dict) or data.get(key_field) != key:
             raise IngestError(f"cache record {path} does not hold the {key_field} {key!r}")
         try:

@@ -1,5 +1,5 @@
-"""Query tokenization, stopword handling and the text-file reader shared
-across the pipeline."""
+"""Query tokenization, stopword handling, the benchmark queries and the
+text-file reader shared across the pipeline."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from pathlib import Path
 
 __all__ = [
     "tokenize", "content_tokens", "query_terms", "query_slug", "load_stopwords",
-    "default_stopwords",
+    "default_stopwords", "BASIC_QUERIES", "benchmark_queries",
 ]
 
 # Boolean operators users type between query terms; dropped everywhere.
@@ -35,6 +35,33 @@ def query_slug(query: str) -> str:
     """Filesystem-safe identifier for a query."""
     cleaned = "".join(ch if ch.isalnum() else "_" for ch in query.casefold())
     return "_".join(filter(None, cleaned.split("_")))
+
+
+# The ten basic multi-domain benchmark queries (five two-term, five
+# three-term); benchmark_queries() expands them with operator joins.
+BASIC_QUERIES = [
+    "database overlap",
+    "multilingual OPACs",
+    "programming algorithm",
+    "roadmap plan",
+    "adolescent alcoholism",
+    "comparative education methodology",
+    "java applet programming",
+    "indexing digital libraries",
+    "geographical stroke incidence",
+    "culturally responsive teaching",
+]
+
+
+def benchmark_queries() -> list[str]:
+    """Expand each basic query three ways: plain, AND-joined, OR-joined."""
+    queries = []
+    for basic in BASIC_QUERIES:
+        tokens = basic.split()
+        queries.append(" ".join(tokens))
+        queries.append(" and ".join(tokens))
+        queries.append(" or ".join(tokens))
+    return queries
 
 
 def _read_text(path: str | Path, newline: str | None = None) -> str:

@@ -2,7 +2,9 @@
 plus differential checks against networkx.
 
 ``reference_closeness`` and ``reference_pagerank`` are the original
-per-node BFS and dict-based power iteration, kept verbatim. The library
+per-node BFS and dict-based power iteration, kept verbatim but for
+closeness's sum, spelled out as the left-to-right loop the builtin ``sum``
+ran before CPython 3.12 (3.12 compensates it). The library
 kernels must return ``==`` scores (same floats, same dict order, same int
 0 for leaves) and the same PageRank ``converged``/``iterations``.
 """
@@ -31,7 +33,12 @@ def reference_closeness(subgraph):
     scores = {}
     for source in subgraph.nodes:
         dist = _reference_bfs(subgraph.adjacency, source)
-        scores[source] = sum(1.0 / d for node, d in dist.items() if node != source)
+        # Left to right in BFS order, from int 0: closeness's one summation rule.
+        total = 0
+        for node, d in dist.items():
+            if node != source:
+                total = total + 1.0 / d
+        scores[source] = total
     return scores
 
 

@@ -278,6 +278,22 @@ def test_gold_without_engines_errors(tmp_path, capsys):
     assert "no engines" in err
 
 
+def test_gold_skips_only_a_serp_list_that_cannot_be_read(tmp_path, capsys):
+    serp = tmp_path / "serp"
+    shutil.copytree(FIXTURES / "serp", serp)
+    unreadable = serp / "google__212aa72be1b03985.json"
+    unreadable.unlink()
+    unreadable.mkdir()
+    config = fixture_config_copy(tmp_path, lambda data: data["paths"].update(serp_dir=str(serp)))
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "gold", QUERY, "--k", "10", "--config", config, "--out", str(out))
+    assert code == 0
+    assert err == (
+        f"engine failure: google/pagerank: unreadable SERP fixture {unreadable.name}: Is a directory\n"
+    )
+    assert len((out / "adolescent_alcoholism__gold_k10.urls").read_text().splitlines()) == 10
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -487,6 +503,24 @@ def test_bench_skips_only_queries_hit_by_a_truncated_cache_record(tmp_path, caps
     assert any(line.startswith("skipping 'adolescent alcoholism'") for line in skipped)
     assert all(str(page) in line for line in skipped)
     assert len(out.splitlines()) == 1 + 30 - len(skipped)
+
+
+def test_bench_skips_only_queries_whose_search_record_cannot_be_read(tmp_path, capsys):
+    snapshot = tmp_path / "snapshot"
+    shutil.copytree(FIXTURES / "snapshot", snapshot)
+    record = snapshot / "searches" / hashed_name(search_key("database overlap"))
+    record.unlink()
+    record.mkdir()
+    code, out, err = run_cli(
+        capsys, "bench", "--queries", str(FIXTURES / "queries.txt"), "--config", CONFIG,
+        "--snapshot", str(snapshot),
+    )
+    assert code == 0
+    assert err.splitlines() == [
+        f"skipping {query!r}: unreadable cache record {record}: Is a directory"
+        for query in ("database overlap", "database and overlap", "database or overlap")
+    ]
+    assert len(out.splitlines()) == 1 + 27
 
 
 def test_bench_crawls_each_search_key_once(tmp_path, capsys, monkeypatch):

@@ -183,6 +183,14 @@ def test_isolate_terminates_on_cycle():
     assert sub.graph_degree == 2
 
 
+def test_targets_number_outlinks_by_node_position_once():
+    graph = build_graph({"a": ["c", "b"], "b": ["a", "c"]}, roots=["a"])
+    sub = graph.isolate_subgraph("a")
+    assert sub.nodes == ("a", "c", "b")
+    assert sub.targets == ((1, 2), (), (0, 1))
+    assert sub.targets is sub.targets
+
+
 def test_isolate_unknown_root_names_concept():
     graph = build_graph({"a": ["b"]}, roots=["a"])
     with pytest.raises(GraphError, match="ghost"):

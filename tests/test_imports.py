@@ -75,6 +75,10 @@ def test_eval_loads_only_cli_text_and_metrics(tmp_path):
     assert loaded == {"wikiqe", "wikiqe.cli", "wikiqe.text", "wikiqe.metrics"}
 
 
+def test_queries_loads_only_cli_and_text(tmp_path):
+    assert cli_loads(tmp_path, "queries") == {"wikiqe", "wikiqe.cli", "wikiqe.text"}
+
+
 def test_every_public_name_is_its_defining_modules_binding():
     assert len(wikiqe.__all__) == len(set(wikiqe.__all__)) == 52
     assert set(wikiqe.__all__) <= set(dir(wikiqe))

@@ -1,58 +1,37 @@
 """The exact run sum behind closeness, and PageRank's leaf-run scatter.
 
-``_run_sum(runs)`` must return what the builtin ``sum`` returns for the
-terms ``x`` repeated ``n`` times per ``(x, n)`` run: the same float, or int
-0 when there are no terms. Each branch is also compared with a plain loop
-that spells out its arithmetic, so the branch this interpreter does not
-use is checked too.
+``_run_sum(runs)`` must return the left-to-right float sum of the terms
+``x`` repeated ``n`` times per ``(x, n)`` run, one rounded add after
+another from int 0: the same float, or int 0 when there are no terms. That
+is what the builtin ``sum`` gives before CPython 3.12, on every interpreter.
 """
 
-import platform
+import operator
 import struct
-import sys
+from functools import reduce
 from itertools import chain, repeat
-from math import isfinite, ulp
+from math import ulp
 
 import pytest
 
-from wikiqe import centrality
-from wikiqe.centrality import _compensated_run_sum, _run_sum, _sequential_run_sum
+from wikiqe.centrality import _run_sum, closeness
 
 from conftest import make_subgraph
 from test_centrality_exact import assert_bit_exact
 
 
-def builtin_sum(runs):
-    return sum(chain.from_iterable(repeat(x, n) for x, n in runs))
+def reduce_sum(runs):
+    """The fast oracle: the same adds as ``sequential_loop``, looped in C."""
+    return reduce(operator.add, chain.from_iterable(repeat(x, n) for x, n in runs), 0)
 
 
 def sequential_loop(runs):
-    """CPython < 3.12: one rounded add after another, from int 0."""
+    """One rounded add after another, from int 0."""
     acc = 0
     for x, n in runs:
         for _ in range(n):
             acc = acc + x
     return acc
-
-
-def neumaier_loop(runs):
-    """CPython 3.12+: the first float replaces the int 0 start; every
-    later add feeds its rounding error to ``c``, added once at the end."""
-    s, c, first = 0, 0.0, True
-    for x, n in runs:
-        for _ in range(n):
-            if first:
-                s, first = 0 + x, False
-                continue
-            t = s + x
-            if abs(s) >= abs(x):
-                c += (s - t) + x
-            else:
-                c += (x - t) + s
-            s = t
-    if c and isfinite(c):
-        s += c
-    return s
 
 
 def bits(value):
@@ -82,23 +61,23 @@ CASES = {
 
 @pytest.mark.parametrize("runs", CASES.values(), ids=CASES.keys())
 def test_run_sum_matches_builtin_sum_and_both_loops(runs):
-    assert bits(_run_sum(runs)) == bits(builtin_sum(runs))
-    assert bits(_sequential_run_sum(runs)) == bits(sequential_loop(runs))
-    assert bits(_compensated_run_sum(runs)) == bits(neumaier_loop(runs))
+    # The builtin sum before 3.12, spelled out and looped in C.
+    assert bits(_run_sum(runs)) == bits(sequential_loop(runs)) == bits(reduce_sum(runs))
 
 
 def test_empty_run_lists_give_int_zero_like_sum():
     for runs in ([], [(1.0, 0)]):
-        for helper in (_run_sum, _sequential_run_sum, _compensated_run_sum):
-            result = helper(runs)
-            assert result == 0 and type(result) is int
+        result = _run_sum(runs)
+        assert result == 0 and type(result) is int
 
 
-def test_probe_picks_this_interpreters_sum():
-    if platform.python_implementation() != "CPython":
-        pytest.skip("the 3.12 switch to a compensated sum is CPython's")
-    compensated = sys.version_info >= (3, 12)
-    assert centrality._run_sum is (_compensated_run_sum if compensated else _sequential_run_sum)
+def test_closeness_adds_left_to_right_where_a_compensated_sum_rounds_otherwise():
+    # Ten adds of 0.1 round to just below 1.0; a compensated sum gives 1.0.
+    assert _run_sum([(0.1, 10)]) == 0.9999999999999999
+    # "a" reaches b at 1, c at 2 and six leaves at 3: 1 + 1/2 + 6 * 1/3
+    # adds up to 3.5000000000000004 one add at a time, 3.5 compensated.
+    sub = make_subgraph({"a": ["b"], "b": ["c"], "c": [f"leaf {i}" for i in range(6)]})
+    assert bits(closeness(sub)["a"]) == bits(3.5000000000000004)
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +93,8 @@ def _run_lists(st, max_count):
         runs = []
         for _ in range(draw(st.integers(0, 5))):
             kind = draw(st.sampled_from(["reciprocal", "tie", "below-half-ulp", "any"]))
-            # The accumulator the next run starts from, as the builtin has it.
-            acc = builtin_sum(runs) or 1.0
+            # The accumulator the next run starts from.
+            acc = reduce_sum(runs) or 1.0
             if kind == "reciprocal":
                 x = 1.0 / draw(st.integers(1, 60))
             elif kind == "tie":  # (m + 1/2) ulps of the accumulator
@@ -131,26 +110,14 @@ def _run_lists(st, max_count):
 
 
 def test_run_sum_matches_builtin_sum_on_random_run_lists():
+    # The builtin sum before 3.12, looped in C: counts reach 100k.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=400, deadline=None)
     @hypothesis.given(_run_lists(st, 100_000))
     def check(runs):
-        assert bits(_run_sum(runs)) == bits(builtin_sum(runs))
-
-    check()
-
-
-def test_both_branches_match_their_loops_on_random_run_lists():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
-    @hypothesis.settings(max_examples=300, deadline=None)
-    @hypothesis.given(_run_lists(st, 3000))
-    def check(runs):
-        assert bits(_sequential_run_sum(runs)) == bits(sequential_loop(runs))
-        assert bits(_compensated_run_sum(runs)) == bits(neumaier_loop(runs))
+        assert bits(_run_sum(runs)) == bits(reduce_sum(runs))
 
     check()
 
