@@ -13,6 +13,7 @@ from __future__ import annotations
 import urllib.parse
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 __all__ = [
     "GraphError",
@@ -123,22 +124,24 @@ class OntologyGraph:
     # construction
     # ------------------------------------------------------------------
 
-    def add_page(self, page: str, outlinks: list[str], hop: int) -> None:
+    def add_page(self, page: str, outlinks: list[str], hop: int) -> list[str]:
         """Give ``page``, a node at ``hop``, the links it does not have yet.
 
         Pages come in breadth-first order, so new targets land at ``hop + 1``
         and a link to a node past ``hop + 1`` is out of order. Self-links and
-        repeated links are dropped. Raises GraphError, changing nothing, for a
-        page that is not a node at ``hop``, links from a page at the hop
-        bound, a reserved character in a target, or a link out of order.
+        repeated links are dropped. Returns the targets that became new
+        nodes, in link order: the pages a breadth-first crawl queues next.
+        Raises GraphError, changing nothing, for a page that is not a node at
+        ``hop``, links from a page at the hop bound, a reserved character in
+        a target, or a link out of order.
         """
         if self._hops.get(page) != hop:
             raise GraphError(f"page {page!r} is not a node at hop {hop}")
         if hop >= self.hop_bound and outlinks:
             raise GraphError(f"page {page!r} at hop {hop} must be a leaf (bound {self.hop_bound})")
-        self._link(page, outlinks)
+        return self._link(page, outlinks)
 
-    def _link(self, page: str, outlinks: list[str], line_of: dict[str, int] | None = None) -> None:
+    def _link(self, page: str, outlinks: list[str], line_of: dict[str, int] | None = None) -> list[str]:
         # The hop rule: a link reaches at most one hop past its page, and a
         # new node lands exactly there, so a graph built under it keeps each
         # hop equal to the breadth-first distance from the roots. Every
@@ -153,12 +156,15 @@ class OntologyGraph:
                     f"{where}{target!r} at hop {known}, but {page!r} at hop {limit - 1} links to it"
                 )
         links = self._adjacency[page]
+        added = []
         for target in outlinks:
             if target != page and target not in links:
                 if target not in self._hops:
                     self._hops[target] = limit
                     self._adjacency[target] = []
+                    added.append(target)
                 links.append(target)
+        return added
 
     # ------------------------------------------------------------------
     # queries
@@ -189,44 +195,24 @@ class OntologyGraph:
     def isolate_subgraph(self, root: str) -> ConceptSubgraph:
         """Return the directed-reachability closure from ``root``.
 
-        Safe on cyclic graphs; a node with no outgoing edges yields a
-        single-node closure of degree 0.
+        Nodes are in breadth-first discovery order. Safe on cyclic graphs; a
+        node with no outgoing edges yields a single-node closure of degree 0.
         """
         if root not in self._hops:
             raise GraphError(f"unknown root concept: {root!r}")
-        return self._subgraph(root, self._closure(root))
-
-    def _subgraph(self, root: str, order: list[str]) -> ConceptSubgraph:
-        adjacency = {u: list(self._adjacency[u]) for u in order}
+        order = [root]
+        adjacency = {root: list(self._adjacency[root])}
+        for node in order:
+            for nxt in adjacency[node]:
+                if nxt not in adjacency:
+                    adjacency[nxt] = list(self._adjacency[nxt])
+                    order.append(nxt)
         return ConceptSubgraph(root=root, nodes=tuple(order), adjacency=adjacency)
 
-    def _closure(self, root: str) -> list[str]:
-        # Nodes reachable from root, in breadth-first discovery order.
-        order = [root]
-        seen = {root}
-        for node in order:
-            for nxt in self._adjacency[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    order.append(nxt)
-        return order
-
     def select_best_concept(self) -> ConceptSubgraph:
-        """Pick the root whose closure has the most edges.
-
-        Ties go to the root listed earlier, then to the lexicographically
-        smaller title, so selection is deterministic. Each root's closure
-        is walked once; the winner's subgraph is built from that walk.
-        """
-        if not self.roots:
-            raise GraphError("graph has no roots")
-
-        def ranked(position: int, root: str):
-            order = self._closure(root)
-            return -sum(len(self._adjacency[u]) for u in order), position, root, order
-
-        _, _, winner, order = min(ranked(position, root) for position, root in enumerate(self.roots))
-        return self._subgraph(winner, order)
+        """The closure of the root with the most edges; ties go to the root
+        listed earlier."""
+        return max(map(self.isolate_subgraph, self.roots), key=attrgetter("graph_degree"))
 
     # ------------------------------------------------------------------
     # serialization: one line per node, "title<TAB>hop<TAB>out1|out2|..."

@@ -41,6 +41,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, replace
 from html import unescape
+from itertools import repeat
 from pathlib import Path
 
 from .graph import OntologyGraph, normalize_title
@@ -125,6 +126,24 @@ def search_key(user_query: str) -> str:
     return " ".join(terms)
 
 
+# The JSON type of each cache record field, as error messages name it. The
+# key field (``title`` or ``query``) is checked against the key itself.
+_FIELD_TYPES = {
+    "outlinks": (list, "a list of strings"), "results": (list, "a list of strings"),
+    "source": (str, "a string"), "fetched_at": ((int, float), "a number"),
+    "missing": (bool, "true or false"), "disambiguation": (bool, "true or false"),
+}
+
+
+def _mistyped_field(data: dict) -> str | None:
+    """What is wrong with the first field of a cache record that has the wrong type."""
+    for name, value in data.items():
+        kind, wanted = _FIELD_TYPES.get(name, (object, ""))
+        if not isinstance(value, kind) or (kind is list and not all(map(isinstance, value, repeat(str)))):
+            return f"{name} must be {wanted}, not {json.dumps(value)}"
+    return None
+
+
 def _hashed(name: str) -> str:
     return hashlib.sha256(name.encode("utf-8")).hexdigest()[:24] + ".json"
 
@@ -152,8 +171,9 @@ class PageCache:
     """On-disk store of page records and search results, one file per key.
 
     A missing file is a cache miss. A file that cannot be read, does not
-    parse, or holds a different key raises :class:`IngestError` naming the
-    file.
+    parse, holds a different key, or has a field of the wrong type (say,
+    ``outlinks`` that is not a list of strings) raises :class:`IngestError`
+    naming the file.
     """
 
     def __init__(self, root: str | Path):
@@ -192,6 +212,8 @@ class PageCache:
             raise IngestError(f"unreadable cache record {path}: {exc.strerror or exc}") from None
         if not isinstance(data, dict) or data.get(key_field) != key:
             raise IngestError(f"cache record {path} does not hold the {key_field} {key!r}")
+        if problem := _mistyped_field(data):
+            raise IngestError(f"malformed cache record {path}: {problem}")
         try:
             return build(data)
         except (KeyError, TypeError) as exc:
@@ -490,45 +512,33 @@ class WikiSource:
         """Candidate concepts for a query: top search hits, with
         disambiguation pages replaced by their listed target articles."""
         titles = self.search(search_key(user_query), config.candidate_count)
-        candidates: list[str] = []
+        candidates: dict[str, None] = {}
         for title in titles:
             record = self.fetch_page(title, config)
-            if record.disambiguation:
-                replacements = record.outlinks
-            else:
-                replacements = [record.title]
-            for candidate in replacements:
-                if candidate not in candidates:
-                    candidates.append(candidate)
-                if len(candidates) >= config.candidate_count:
-                    break
-            if len(candidates) >= config.candidate_count:
-                break
+            for candidate in record.outlinks if record.disambiguation else [record.title]:
+                candidates[candidate] = None
+                if len(candidates) == config.candidate_count:
+                    return list(candidates)
         if not candidates:
             raise NoConceptError(f"no Wikipedia concept for query: {user_query!r}")
-        return candidates
+        return list(candidates)
 
     def build_graph(self, user_query: str, config: CrawlConfig) -> OntologyGraph:
         """Breadth-first link crawl from the candidate roots.
 
-        Pages below the hop bound are expanded; pages at the bound stay
-        leaves. Expansion stops once the graph reaches ``max_total_nodes``,
-        but the page expanded last adds all its outlinks, so the graph can
-        pass that soft cap by up to ``max_links_per_page - 1`` nodes.
-        Deterministic for a fixed snapshot.
+        Pages below the hop bound are expanded, and the pages each one adds
+        to the graph (``add_page`` returns them) join the queue; pages at the
+        bound stay leaves. Expansion stops once the graph reaches
+        ``max_total_nodes``, but the page expanded last adds all its
+        outlinks, so the graph can pass that soft cap by up to
+        ``max_links_per_page - 1`` nodes. Deterministic for a fixed snapshot.
         """
-        roots = self.resolve_candidates(user_query, config)
-        graph = OntologyGraph(roots, hop_bound=config.hop_bound)
-        frontier: deque[tuple[str, int]] = deque((root, 0) for root in graph.roots)
-        while frontier:
-            title, hop = frontier.popleft()
-            if hop >= config.hop_bound:
-                continue
-            if graph.node_count >= config.max_total_nodes:
-                break
-            record = self.fetch_page(title, config)
-            # Every queued title is a graph node, so these are the ones to queue.
-            new = [target for target in dict.fromkeys(record.outlinks) if target not in graph]
-            graph.add_page(title, record.outlinks, hop)
-            frontier.extend((target, hop + 1) for target in new)
+        graph = OntologyGraph(self.resolve_candidates(user_query, config), hop_bound=config.hop_bound)
+        frontier = deque(graph.roots)
+        while frontier and graph.node_count < config.max_total_nodes:
+            title = frontier.popleft()
+            hop = graph.hop(title)
+            added = graph.add_page(title, self.fetch_page(title, config).outlinks, hop)
+            if hop + 1 < config.hop_bound:
+                frontier.extend(added)
         return graph

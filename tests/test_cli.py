@@ -505,6 +505,30 @@ def test_bench_skips_only_queries_hit_by_a_truncated_cache_record(tmp_path, caps
     assert len(out.splitlines()) == 1 + 30 - len(skipped)
 
 
+@pytest.mark.parametrize("kind, key, field, value", [
+    pytest.param("pages", "alcoholism", "outlinks", "ethanol", id="page"),
+    pytest.param("searches", search_key(QUERY), "results", "alcoholism", id="search"),
+])
+def test_bench_skips_only_queries_hit_by_a_mistyped_cache_record(
+    tmp_path, capsys, kind, key, field, value
+):
+    snapshot = tmp_path / "snapshot"
+    shutil.copytree(FIXTURES / "snapshot", snapshot)
+    path = snapshot / kind / hashed_name(key)
+    record = json.loads(path.read_text(encoding="utf-8"))
+    record[field] = value
+    path.write_text(json.dumps(record), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "bench", "--queries", str(FIXTURES / "queries.txt"), "--config", CONFIG,
+        "--snapshot", str(snapshot),
+    )
+    assert code == 0
+    skipped = err.splitlines()
+    assert f"skipping {QUERY!r}: malformed cache record {path}: {field} must be" in err
+    assert all(str(path) in line for line in skipped)
+    assert len(out.splitlines()) == 1 + 30 - len(skipped)
+
+
 def test_bench_skips_only_queries_whose_search_record_cannot_be_read(tmp_path, capsys):
     snapshot = tmp_path / "snapshot"
     shutil.copytree(FIXTURES / "snapshot", snapshot)

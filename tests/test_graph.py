@@ -70,9 +70,7 @@ def build_graph(edges: dict[str, list[str]], roots: list[str], hop_bound=10) -> 
     graph = OntologyGraph(roots, hop_bound=hop_bound)
     queue = list(graph.roots)
     for page in queue:
-        links = edges.get(page, [])
-        graph.add_page(page, links, graph.hop(page))
-        queue.extend(t for t in dict.fromkeys(links) if t not in queue)
+        queue.extend(graph.add_page(page, edges.get(page, []), graph.hop(page)))
     return graph
 
 
@@ -111,6 +109,20 @@ def test_duplicate_and_self_links_collapse():
     graph.add_page("a", ["b", "b", "a", "b"], hop=0)
     assert graph.edge_count == 1
     assert graph.outlinks("a") == ["b"]
+
+
+def test_add_page_returns_the_targets_it_adds_in_link_order():
+    graph = OntologyGraph(["a", "r"], hop_bound=2)
+    # Repeated links, the self-link and the link to the other root add nothing.
+    assert graph.add_page("a", ["c", "b", "c", "a", "r", "b", "d"], hop=0) == ["c", "b", "d"]
+    assert graph.add_page("r", ["b", "g", "b"], hop=0) == ["g"]
+    # Links to existing nodes are edges, not new nodes.
+    assert graph.add_page("b", ["b", "e", "a", "c", "e", "f"], hop=1) == ["e", "f"]
+    assert graph.add_page("c", ["f", "b"], hop=1) == []
+    assert graph.add_page("a", ["d", "h"], hop=0) == ["h"]
+    assert graph.add_page("e", [], hop=2) == []
+    assert graph.outlinks("c") == ["f", "b"]
+    assert list(graph.nodes) == ["a", "r", "c", "b", "d", "g", "e", "f", "h"]
 
 
 def test_rejects_hop_past_bound():
@@ -212,6 +224,22 @@ def test_select_highest_degree_root():
 def test_select_tie_prefers_earlier_root():
     graph = build_graph({"r1": ["a"], "r2": ["b"]}, roots=["r1", "r2"])
     assert graph.select_best_concept().root == "r1"
+
+
+def test_select_isolates_each_root_once(monkeypatch):
+    graph = build_graph({"r1": ["a"], "r2": ["a", "b"], "r3": ["r1"]}, roots=["r1", "r2", "r3"])
+    isolated = []
+    isolate_subgraph = OntologyGraph.isolate_subgraph
+
+    def counting_isolate_subgraph(self, root):
+        isolated.append(root)
+        return isolate_subgraph(self, root)
+
+    monkeypatch.setattr(OntologyGraph, "isolate_subgraph", counting_isolate_subgraph)
+    best = graph.select_best_concept()
+    assert isolated == ["r1", "r2", "r3"]
+    # r2 and r3 tie at 2 edges; the earlier root wins.
+    assert (best.root, best.nodes, best.graph_degree) == ("r2", ("r2", "a", "b"), 2)
 
 
 def test_select_single_root():

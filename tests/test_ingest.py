@@ -152,6 +152,40 @@ def test_cache_malformed_search_raises_ingest_error_naming_file(tmp_path):
     assert str(path) in str(caught.value)
 
 
+@pytest.mark.parametrize("kind, field, value, message", [
+    pytest.param("pages", "outlinks", None, "outlinks must be a list of strings, not null",
+                 id="outlinks-null"),
+    pytest.param("pages", "outlinks", [1, 2], "outlinks must be a list of strings, not [1, 2]",
+                 id="outlinks-numbers"),
+    pytest.param("pages", "outlinks", "ab", 'outlinks must be a list of strings, not "ab"',
+                 id="outlinks-string"),
+    pytest.param("pages", "fetched_at", "now", 'fetched_at must be a number, not "now"',
+                 id="fetched-at-string"),
+    pytest.param("pages", "source", 3, "source must be a string, not 3", id="source-number"),
+    pytest.param("pages", "missing", 0, "missing must be true or false, not 0", id="missing-number"),
+    pytest.param("pages", "disambiguation", None, "disambiguation must be true or false, not null",
+                 id="disambiguation-null"),
+    pytest.param("searches", "results", "ethanol",
+                 'results must be a list of strings, not "ethanol"', id="results-string"),
+    pytest.param("searches", "results", [1], "results must be a list of strings, not [1]",
+                 id="results-numbers"),
+])
+def test_cache_record_with_a_mistyped_field_raises_ingest_error_naming_file(
+    tmp_path, kind, field, value, message
+):
+    cache = PageCache(tmp_path)
+    cache.put_page(PageRecord("ethanol", ["a"], 7.0, "live"))
+    cache.put_search("ethanol", ["ethanol"])
+    path = tmp_path / kind / hashed_name("ethanol")
+    record = json.loads(path.read_text(encoding="utf-8"))
+    record[field] = value
+    path.write_text(json.dumps(record), encoding="utf-8")
+    get = cache.get_page if kind == "pages" else cache.get_search
+    with pytest.raises(IngestError) as caught:
+        get("ethanol")
+    assert str(caught.value) == f"malformed cache record {path}: {message}"
+
+
 def test_every_fixture_record_resolves_through_its_hashed_path():
     cache = PageCache(SNAPSHOT)
     pages = sorted((SNAPSHOT / "pages").iterdir())

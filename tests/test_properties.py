@@ -170,7 +170,8 @@ def test_add_page_keeps_hops_consistent_and_edges_distinct(data):
                 graph.add_page(page, links, hop)
             assert graph.dumps() == before
             continue
-        graph.add_page(page, links, hop)
+        nodes = graph.nodes
+        assert graph.add_page(page, links, hop) == [t for t in dict.fromkeys(links) if t not in nodes]
         known = expected.setdefault(page, [])
         known.extend(t for t in dict.fromkeys(links) if t != page and t not in known)
     for page in graph.nodes:
