@@ -16,7 +16,7 @@ Conventions that matter here:
   dominates the resulting scores -- change it and every ranking moves.
 
 Both kernels read ``subgraph.targets``, each node's outlinks as positions
-in ``subgraph.nodes``, derived once per subgraph. Closeness runs one
+in ``subgraph.nodes``, built by the closure walk. Closeness runs one
 level-synchronous, bit-parallel reachability pass for all sources at once
 (the bit-parallel BFS idea of Akiba, Iwata & Yoshida, SIGMOD 2013): every
 node with outlinks ("inner" node) holds the set of nodes within distance d
@@ -138,7 +138,7 @@ class CentralityTable:
 
 def degree(subgraph: ConceptSubgraph) -> dict[str, int]:
     """Out-degree of every node in the subgraph."""
-    return {node: len(subgraph.adjacency[node]) for node in subgraph.nodes}
+    return {node: len(out) for node, out in zip(subgraph.nodes, subgraph.targets)}
 
 
 def closeness(subgraph: ConceptSubgraph) -> dict[str, float]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import urllib.parse
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import attrgetter
 
 __all__ = [
@@ -64,25 +63,20 @@ class ConceptSubgraph:
     """Reachability closure of one root inside a parent graph.
 
     ``nodes`` are listed in breadth-first discovery order (deterministic for
-    a given parent graph); ``adjacency`` keeps the parent's outlink order.
+    a given parent graph). ``targets`` holds each node's outlinks, in the
+    parent's outlink order, as positions in ``nodes``: the walk that finds
+    the closure numbers them, and the centrality kernels read them.
     ``graph_degree`` is the number of edges in the closure and is the
-    quantity that ranks candidate concepts against each other. ``targets``
-    numbers the edges once for the centrality kernels.
+    quantity that ranks candidate concepts against each other.
     """
 
     root: str
     nodes: tuple[str, ...]
-    adjacency: dict[str, list[str]] = field(repr=False)
+    targets: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
     def graph_degree(self) -> int:
-        return sum(map(len, self.adjacency.values()))
-
-    @cached_property
-    def targets(self) -> tuple[tuple[int, ...], ...]:
-        """Each node's outlinks as positions in ``nodes``, in outlink order."""
-        index = {node: i for i, node in enumerate(self.nodes)}
-        return tuple(tuple(map(index.__getitem__, self.adjacency[node])) for node in self.nodes)
+        return sum(map(len, self.targets))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -195,19 +189,25 @@ class OntologyGraph:
     def isolate_subgraph(self, root: str) -> ConceptSubgraph:
         """Return the directed-reachability closure from ``root``.
 
-        Nodes are in breadth-first discovery order. Safe on cyclic graphs; a
+        One breadth-first pass numbers each node as it finds it and builds
+        each node's ``targets`` row as it visits it. Safe on cyclic graphs; a
         node with no outgoing edges yields a single-node closure of degree 0.
         """
         if root not in self._hops:
             raise GraphError(f"unknown root concept: {root!r}")
         order = [root]
-        adjacency = {root: list(self._adjacency[root])}
+        position = {root: 0}
+        targets = []
         for node in order:
-            for nxt in adjacency[node]:
-                if nxt not in adjacency:
-                    adjacency[nxt] = list(self._adjacency[nxt])
+            row = []
+            for nxt in self._adjacency[node]:
+                i = position.get(nxt)
+                if i is None:
+                    i = position[nxt] = len(order)
                     order.append(nxt)
-        return ConceptSubgraph(root=root, nodes=tuple(order), adjacency=adjacency)
+                row.append(i)
+            targets.append(tuple(row))
+        return ConceptSubgraph(root=root, nodes=tuple(order), targets=tuple(targets))
 
     def select_best_concept(self) -> ConceptSubgraph:
         """The closure of the root with the most edges; ties go to the root

@@ -44,7 +44,7 @@ from html import unescape
 from itertools import repeat
 from pathlib import Path
 
-from .graph import OntologyGraph, normalize_title
+from .graph import GraphError, OntologyGraph, normalize_title
 from .text import default_stopwords, query_terms
 
 __all__ = [
@@ -184,7 +184,7 @@ class PageCache:
 
     def put_page(self, record: PageRecord) -> None:
         # The fields by hand: dataclasses.asdict would deep-copy the outlinks.
-        self._write("pages", record.title, {
+        _write_atomic(self._path("pages", record.title), {
             "title": record.title,
             "outlinks": record.outlinks,
             "fetched_at": record.fetched_at,
@@ -197,10 +197,22 @@ class PageCache:
         return self._read("searches", "query", query, lambda data: list(data["results"]))
 
     def put_search(self, query: str, results: list[str]) -> None:
-        self._write("searches", query, {"query": query, "results": list(results)})
+        _write_atomic(self._path("searches", query), {"query": query, "results": list(results)})
+
+    def _path(self, kind: str, key: str) -> str:
+        return os.path.join(self.root, kind, _hashed(key))  # os.path: cheaper than pathlib here
+
+    def _titles(self, kind: str, key: str, titles: list[str]) -> list[str]:
+        """``titles`` from the record ``kind``/``key`` if the graph takes each, else IngestError."""
+        try:
+            for title in titles:
+                OntologyGraph._check_title(title)
+        except GraphError as exc:
+            raise IngestError(f"malformed cache record {self._path(kind, key)}: {exc}") from None
+        return titles
 
     def _read(self, kind: str, key_field: str, key: str, build):
-        path = os.path.join(self.root, kind, _hashed(key))  # os.path: cheaper than pathlib here
+        path = self._path(kind, key)
         try:
             with open(path, "rb") as handle:
                 data = json.loads(handle.read())
@@ -218,9 +230,6 @@ class PageCache:
             return build(data)
         except (KeyError, TypeError) as exc:
             raise IngestError(f"malformed cache record {path}: {exc!r}") from None
-
-    def _write(self, kind: str, key: str, payload: dict) -> None:
-        _write_atomic(os.path.join(self.root, kind, _hashed(key)), payload)
 
 
 # The markup that decides which links a tokenizer reports: an <a> start tag
@@ -511,11 +520,12 @@ class WikiSource:
     def resolve_candidates(self, user_query: str, config: CrawlConfig) -> list[str]:
         """Candidate concepts for a query: top search hits, with
         disambiguation pages replaced by their listed target articles."""
-        titles = self.search(search_key(user_query), config.candidate_count)
+        key = search_key(user_query)
         candidates: dict[str, None] = {}
-        for title in titles:
+        for title in self.cache._titles("searches", key, self.search(key, config.candidate_count)):
             record = self.fetch_page(title, config)
-            for candidate in record.outlinks if record.disambiguation else [record.title]:
+            for candidate in (self.cache._titles("pages", record.title, record.outlinks)
+                              if record.disambiguation else [record.title]):
                 candidates[candidate] = None
                 if len(candidates) == config.candidate_count:
                     return list(candidates)
@@ -538,7 +548,12 @@ class WikiSource:
         while frontier and graph.node_count < config.max_total_nodes:
             title = frontier.popleft()
             hop = graph.hop(title)
-            added = graph.add_page(title, self.fetch_page(title, config).outlinks, hop)
+            record = self.fetch_page(title, config)
+            try:
+                added = graph.add_page(title, record.outlinks, hop)
+            except GraphError:  # add_page checks each link title; name the record
+                self.cache._titles("pages", record.title, record.outlinks)
+                raise
             if hop + 1 < config.hop_bound:
                 frontier.extend(added)
         return graph

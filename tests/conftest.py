@@ -14,19 +14,16 @@ def make_subgraph(adjacency: dict[str, list[str]], root: str | None = None) -> C
 
     Targets missing from the keys become sink nodes. Node order is
     first-seen order, matching what a breadth-first closure would give.
+    Each row of ``targets`` numbers the mapping's own list for its node,
+    repeats and self-links included.
     """
-    nodes: list[str] = []
-    full: dict[str, list[str]] = {}
+    position: dict[str, int] = {}
     for node, targets in adjacency.items():
-        if node not in full:
-            full[node] = []
-            nodes.append(node)
-        full[node] = list(targets)
-        for t in targets:
-            if t not in full:
-                full[t] = []
-                nodes.append(t)
-    return ConceptSubgraph(root=root or nodes[0], nodes=tuple(nodes), adjacency=full)
+        for title in (node, *targets):
+            position.setdefault(title, len(position))
+    nodes = tuple(position)
+    rows = tuple(tuple(position[t] for t in adjacency.get(node, ())) for node in nodes)
+    return ConceptSubgraph(root=root or nodes[0], nodes=nodes, targets=rows)
 
 
 def bfs_hops(graph: OntologyGraph) -> dict[str, int]:

@@ -7,6 +7,10 @@ closeness's sum, spelled out as the left-to-right loop the builtin ``sum``
 ran before CPython 3.12 (3.12 compensates it). The library
 kernels must return ``==`` scores (same floats, same dict order, same int
 0 for leaves) and the same PageRank ``converged``/``iterations``.
+
+The references walk an adjacency mapping taken from the parent graph's
+``outlinks`` or from the test's own dict, never from ``subgraph.targets``,
+so a numbering bug in the kernels' input cannot agree with itself.
 """
 
 import random
@@ -29,10 +33,10 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # frozen references (do not optimise: they define the expected bits)
 # ---------------------------------------------------------------------------
 
-def reference_closeness(subgraph):
+def reference_closeness(subgraph, adjacency):
     scores = {}
     for source in subgraph.nodes:
-        dist = _reference_bfs(subgraph.adjacency, source)
+        dist = _reference_bfs(adjacency, source)
         # Left to right in BFS order, from int 0: closeness's one summation rule.
         total = 0
         for node, d in dist.items():
@@ -54,11 +58,10 @@ def _reference_bfs(adjacency, source):
     return dist
 
 
-def reference_pagerank(subgraph, params):
+def reference_pagerank(subgraph, adjacency, params):
     nodes = subgraph.nodes
     n = len(nodes)
     d = params.damping
-    adjacency = subgraph.adjacency
     rank = {node: 1.0 / n for node in nodes}
     converged = False
     iterations = 0
@@ -80,14 +83,24 @@ def reference_pagerank(subgraph, params):
     return rank, converged, iterations
 
 
-def assert_bit_exact(subgraph, params=None):
+def parent_adjacency(graph, subgraph):
+    """Each closure node's outlinks as the parent graph lists them."""
+    return {node: graph.outlinks(node) for node in subgraph.nodes}
+
+
+def with_sinks(adjacency):
+    """A test's own adjacency dict with every link target as a key."""
+    return {**{t: [] for out in adjacency.values() for t in out}, **adjacency}
+
+
+def assert_bit_exact(subgraph, adjacency, params=None):
     params = params or PageRankParams()
-    expected = reference_closeness(subgraph)
+    expected = reference_closeness(subgraph, adjacency)
     actual = closeness(subgraph)
     assert actual == expected
     assert list(actual) == list(expected)
     assert [type(v) for v in actual.values()] == [type(v) for v in expected.values()]
-    scores, converged, iterations = reference_pagerank(subgraph, params)
+    scores, converged, iterations = reference_pagerank(subgraph, adjacency, params)
     result = pagerank(subgraph, params)
     assert result.scores == scores
     assert list(result.scores) == list(scores)
@@ -99,23 +112,26 @@ def assert_bit_exact(subgraph, params=None):
 # ---------------------------------------------------------------------------
 
 def test_leaves_score_int_zero():
-    sub = make_subgraph({"hub": ["a", "b"], "a": ["b"], "loop": ["loop"]})
+    adjacency = {"hub": ["a", "b"], "a": ["b"], "loop": ["loop"]}
+    sub = make_subgraph(adjacency)
     scores = closeness(sub)
     assert scores["b"] == 0 and type(scores["b"]) is int
     # a node whose only link is to itself reaches nothing else either
     assert scores["loop"] == 0 and type(scores["loop"]) is int
     assert type(scores["hub"]) is float
-    assert_bit_exact(sub)
+    assert_bit_exact(sub, with_sinks(adjacency))
 
 
 def test_bit_exact_on_crawl_shaped_graph():
     graph = crawl_shaped_graph()
     for root in graph.roots:
-        assert_bit_exact(graph.isolate_subgraph(root))
+        sub = graph.isolate_subgraph(root)
+        assert_bit_exact(sub, parent_adjacency(graph, sub))
     best = graph.select_best_concept()
+    adjacency = parent_adjacency(graph, best)
     table = build_table(best)
-    assert table.closeness == reference_closeness(best)
-    assert table.pagerank == reference_pagerank(best, PageRankParams())[0]
+    assert table.closeness == reference_closeness(best, adjacency)
+    assert table.pagerank == reference_pagerank(best, adjacency, PageRankParams())[0]
 
 
 def test_bit_exact_on_fixture_queries():
@@ -125,7 +141,8 @@ def test_bit_exact_on_fixture_queries():
     for query in filter(None, queries):
         graph = source.build_graph(query, config.crawl)
         for root in graph.roots:
-            assert_bit_exact(graph.isolate_subgraph(root), config.pagerank)
+            sub = graph.isolate_subgraph(root)
+            assert_bit_exact(sub, parent_adjacency(graph, sub), config.pagerank)
 
 
 def test_bit_exact_on_random_cyclic_and_disconnected_graphs():
@@ -151,7 +168,7 @@ def test_bit_exact_on_random_cyclic_and_disconnected_graphs():
     )
     def check(adjacency, tolerance, max_iterations):
         sub = make_subgraph(adjacency)
-        assert_bit_exact(sub, PageRankParams(tolerance=tolerance, max_iterations=max_iterations))
+        assert_bit_exact(sub, adjacency, PageRankParams(tolerance=tolerance, max_iterations=max_iterations))
 
     check()
 
@@ -165,13 +182,13 @@ def _nx_graphs():
     for n, p in ((1, 0.0), (12, 0.0), (40, 0.03), (60, 0.08), (80, 0.2)):
         yield random_adjacency(rng, n, p)
     small = crawl_shaped_graph(n_target=600, branching=8, seed=5)
-    yield small.select_best_concept().adjacency
+    yield parent_adjacency(small, small.select_best_concept())
 
 
-def _to_networkx(nx, sub):
+def _to_networkx(nx, sub, adjacency):
     graph = nx.DiGraph()
     graph.add_nodes_from(sub.nodes)
-    graph.add_edges_from((u, v) for u in sub.nodes for v in sub.adjacency[u])
+    graph.add_edges_from((u, v) for u, out in adjacency.items() for v in out)
     return graph
 
 
@@ -179,7 +196,7 @@ def test_closeness_matches_networkx_harmonic_on_reversed_graph():
     nx = pytest.importorskip("networkx")
     for adjacency in _nx_graphs():
         sub = make_subgraph(adjacency)
-        expected = nx.harmonic_centrality(_to_networkx(nx, sub).reverse())
+        expected = nx.harmonic_centrality(_to_networkx(nx, sub, adjacency).reverse())
         actual = closeness(sub)
         for node in sub.nodes:
             # relative: networkx adds the same terms in another order, which
@@ -192,7 +209,7 @@ def test_pagerank_matches_networkx_uniform_dangling():
     pytest.importorskip("scipy")  # networkx's pagerank runs on scipy.sparse
     for adjacency in _nx_graphs():
         sub = make_subgraph(adjacency)
-        expected = nx.pagerank(_to_networkx(nx, sub), alpha=0.85, tol=1e-12, max_iter=1000)
+        expected = nx.pagerank(_to_networkx(nx, sub, adjacency), alpha=0.85, tol=1e-12, max_iter=1000)
         actual = pagerank(sub).scores
         for node in sub.nodes:
             assert actual[node] == pytest.approx(expected[node], abs=1e-6)

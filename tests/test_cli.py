@@ -529,6 +529,58 @@ def test_bench_skips_only_queries_hit_by_a_mistyped_cache_record(
     assert len(out.splitlines()) == 1 + 30 - len(skipped)
 
 
+BAD_TITLES = [pytest.param("a|b", id="reserved"), pytest.param("", id="empty")]
+BAD_TITLE_RECORDS = [
+    pytest.param("pages", "alcoholism", "outlinks", id="page"),
+    pytest.param("searches", search_key(QUERY), "results", id="search"),
+]
+
+
+def snapshot_with_bad_title(tmp_path, kind, key, field, title):
+    """A copy of the fixture snapshot whose ``kind``/``key`` record lists
+    ``title`` first in ``field``; returns the snapshot and the record path."""
+    snapshot = tmp_path / "snapshot"
+    shutil.copytree(FIXTURES / "snapshot", snapshot)
+    path = snapshot / kind / hashed_name(key)
+    record = json.loads(path.read_text(encoding="utf-8"))
+    record[field].insert(0, title)
+    path.write_text(json.dumps(record), encoding="utf-8")
+    return snapshot, path
+
+
+def bad_title_message(path, title):
+    problem = f"title contains reserved character: {title!r}" if title else "empty concept title"
+    return f"malformed cache record {path}: {problem}"
+
+
+@pytest.mark.parametrize("title", BAD_TITLES)
+@pytest.mark.parametrize("kind, key, field", BAD_TITLE_RECORDS)
+def test_bench_skips_only_queries_hit_by_a_bad_title_in_a_cache_record(
+    tmp_path, capsys, kind, key, field, title
+):
+    snapshot, path = snapshot_with_bad_title(tmp_path, kind, key, field, title)
+    code, out, err = run_cli(
+        capsys, "bench", "--queries", str(FIXTURES / "queries.txt"), "--config", CONFIG,
+        "--snapshot", str(snapshot),
+    )
+    assert code == 0
+    skipped = err.splitlines()
+    assert f"skipping {QUERY!r}: {bad_title_message(path, title)}" in skipped
+    assert all(line.endswith(bad_title_message(path, title)) for line in skipped)
+    assert len(out.splitlines()) == 1 + 30 - len(skipped)
+
+
+@pytest.mark.parametrize("title", BAD_TITLES)
+@pytest.mark.parametrize("kind, key, field", BAD_TITLE_RECORDS)
+def test_expand_names_the_cache_record_holding_a_bad_title(tmp_path, capsys, kind, key, field, title):
+    snapshot, path = snapshot_with_bad_title(tmp_path, kind, key, field, title)
+    code, out, err = run_cli(
+        capsys, "expand", QUERY, "--config", CONFIG, "--snapshot", str(snapshot),
+        "--out", str(tmp_path / "out"),
+    )
+    assert (code, out, err) == (1, "", f"error: {bad_title_message(path, title)}\n")
+
+
 def test_bench_skips_only_queries_whose_search_record_cannot_be_read(tmp_path, capsys):
     snapshot = tmp_path / "snapshot"
     shutil.copytree(FIXTURES / "snapshot", snapshot)

@@ -42,8 +42,9 @@ class PlainWiki:
 
 
 def reference_crawl(wiki: PlainWiki, query: str, config: CrawlConfig):
-    """(dump, roots, (best root, its closure, its edge count), fetched
-    titles), or None when the query resolves to no concept."""
+    """(dump, roots, (best root, its closure, its edge count, each closure
+    node's links as positions in the closure), fetched titles), or None
+    when the query resolves to no concept."""
     fetched = []
 
     def fetch(title):
@@ -93,7 +94,9 @@ def reference_crawl(wiki: PlainWiki, query: str, config: CrawlConfig):
                     closure.append(target)
         edges = sum(len(out[node]) for node in closure)
         if best is None or edges > best[2]:
-            best = (root, tuple(closure), edges)
+            position = {node: i for i, node in enumerate(closure)}
+            rows = tuple(tuple(position[target] for target in out[node]) for node in closure)
+            best = (root, tuple(closure), edges, rows)
     return dump, roots, best, fetched
 
 
@@ -113,7 +116,7 @@ def product_crawl(source: WikiSource, query: str, config: CrawlConfig):
     finally:
         del source.fetch_page
     best = graph.select_best_concept()
-    return graph.dumps(), graph.roots, (best.root, best.nodes, best.graph_degree), fetched
+    return graph.dumps(), graph.roots, (best.root, best.nodes, best.graph_degree, best.targets), fetched
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +180,7 @@ def test_reference_follows_the_spec_on_a_hand_wiki():
     dump, roots, best, fetched = reference_crawl(wiki, QUERY, CrawlConfig(hop_bound=1))
     assert roots == ["a", "b", "e"]
     assert dump == "a\t0\tb|x\nb\t0\ta|m\ne\t0\t\nx\t1\t\nm\t1\t\n"
-    assert best == ("a", ("a", "b", "x", "m"), 4)
+    assert best == ("a", ("a", "b", "x", "m"), 4, ((1, 2), (0, 3), (), ()))
     assert fetched == ["d", "e", "a", "b", "e"]
     # Links are cut before repeats are dropped; the cap stops the crawl
     # before a fetch once the roots fill it.

@@ -200,7 +200,6 @@ def test_targets_number_outlinks_by_node_position_once():
     sub = graph.isolate_subgraph("a")
     assert sub.nodes == ("a", "c", "b")
     assert sub.targets == ((1, 2), (), (0, 1))
-    assert sub.targets is sub.targets
 
 
 def test_isolate_unknown_root_names_concept():
@@ -255,7 +254,11 @@ def test_select_beats_every_other_root_brute_force(rng):
         graph = build_graph(adjacency, roots, hop_bound=len(names) + 1)
         best = graph.select_best_concept()
         for root in graph.roots:
-            assert best.graph_degree >= graph.isolate_subgraph(root).graph_degree
+            sub = graph.isolate_subgraph(root)
+            assert best.graph_degree >= sub.graph_degree
+            # Each row names, by position, exactly the parent's outlinks.
+            for node, row in zip(sub.nodes, sub.targets, strict=True):
+                assert [sub.nodes[j] for j in row] == graph.outlinks(node)
         # The winner has the most edges (ties: the earlier root), and the
         # result is exactly its closure.
         ranked = sorted(
@@ -263,9 +266,7 @@ def test_select_beats_every_other_root_brute_force(rng):
             for position, root in enumerate(graph.roots)
         )
         winner = graph.isolate_subgraph(ranked[0][2])
-        assert (best.root, best.nodes, best.adjacency) == (
-            winner.root, winner.nodes, winner.adjacency
-        )
+        assert (best.root, best.nodes, best.targets) == (winner.root, winner.nodes, winner.targets)
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,32 @@ def test_resolver_expands_disambiguation_pages(tmp_path):
     assert candidates == ["mercury (element)", "mercury (planet)"]
 
 
+@pytest.mark.parametrize("title", [pytest.param("a|b", id="reserved"), pytest.param("", id="empty")])
+@pytest.mark.parametrize("kind, key", [
+    pytest.param("searches", "mercury", id="search-results"),
+    pytest.param("pages", "mercury", id="disambiguation-links"),
+    pytest.param("pages", "mercury (element)", id="crawled-links"),
+])
+def test_build_graph_names_the_cache_record_holding_a_title_the_graph_rejects(
+    tmp_path, kind, key, title
+):
+    searches = {"mercury": ["mercury"]}
+    pages = {"mercury": ["mercury (element)", "mercury (planet)"], "mercury (element)": ["venus"]}
+    (searches if kind == "searches" else pages)[key].insert(0, title)
+    source = make_snapshot(tmp_path, searches, pages, disambiguations={"mercury"})
+    with pytest.raises(IngestError) as caught:
+        source.build_graph("mercury", CrawlConfig())
+    problem = f"title contains reserved character: {title!r}" if title else "empty concept title"
+    assert str(caught.value) == f"malformed cache record {tmp_path / kind / hashed_name(key)}: {problem}"
+
+
+def test_build_graph_checks_only_the_links_it_reads(tmp_path):
+    # A bad title past the link cap is cut before the graph sees it.
+    source = make_snapshot(tmp_path, {"mercury": ["mercury"]}, {"mercury": ["venus", "a|b"]})
+    graph = source.build_graph("mercury", CrawlConfig(max_links_per_page=1))
+    assert graph.outlinks("mercury") == ["venus"]
+
+
 def test_resolver_rejects_stopword_only_query(tmp_path):
     source = make_snapshot(tmp_path)
     with pytest.raises(IngestError, match="stopword"):

@@ -17,7 +17,7 @@ import pytest
 from wikiqe.centrality import _run_sum, closeness
 
 from conftest import make_subgraph
-from test_centrality_exact import assert_bit_exact
+from test_centrality_exact import assert_bit_exact, with_sinks
 
 
 def reduce_sum(runs):
@@ -131,10 +131,11 @@ def test_pagerank_leaf_run_broken_by_shared_repeated_and_self_links():
     # "other", "d" is linked twice and "c" links itself: each has two
     # in-links, breaks the run of single-in-link leaves and takes its
     # shares by +=.
-    sub = make_subgraph({
+    adjacency = {
         "hub": ["a", "b", "shared", "c", "d", "d", "e"],
         "other": ["shared", "f", "g"],
         "c": ["c"],
-    })
+    }
+    sub = make_subgraph(adjacency)
     assert sub.nodes == ("hub", "a", "b", "shared", "c", "d", "e", "other", "f", "g")
-    assert_bit_exact(sub)
+    assert_bit_exact(sub, with_sinks(adjacency))
