@@ -9,6 +9,7 @@ list and the three lists feed the expansion step.
 from pathlib import Path
 
 from wikiqe import CrawlConfig, PageRankParams, WikiSource, build_table
+from wikiqe.centrality import ranked_prefix
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -22,14 +23,16 @@ print(f"subgraph of {best.root!r}: {len(best)} nodes\n")
 header = f"{'node':<48} {'deg':>3} {'closeness':>10} {'pagerank':>10}"
 print(header)
 print("-" * len(header))
-for node in table.degree_list[:8]:
+# ranked_prefix(scores, n) ranks the best n titles (and any tied with the
+# n-th), by descending score with ties broken by title.
+for node in ranked_prefix(table.degree, 8)[:8]:
     print(f"{node:<48} {table.degree[node]:>3} "
           f"{table.closeness[node]:>10.4f} {table.pagerank[node]:>10.6f}")
 
 print("\ntop of each ranking:")
-print("  by degree:    ", ", ".join(table.degree_list[:4]))
-print("  by closeness: ", ", ".join(table.closeness_list[:4]))
-print("  by pagerank:  ", ", ".join(table.pagerank_list[:4]))
+print("  by degree:    ", ", ".join(ranked_prefix(table.degree, 4)[:4]))
+print("  by closeness: ", ", ".join(ranked_prefix(table.closeness, 4)[:4]))
+print("  by pagerank:  ", ", ".join(ranked_prefix(table.pagerank, 4)[:4]))
 
 print(f"\npagerank converged: {table.pagerank_converged}")
 print(f"pagerank mass: {sum(table.pagerank.values()):.12f}")

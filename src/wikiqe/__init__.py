@@ -32,7 +32,7 @@ _EXPORTS = {
         ),
         "fusion": (
             "EngineError", "FixtureEngineAdapter", "FusedList", "FusionError", "MseResult",
-            "ResultList", "SearchHit", "engine_weight", "normalize_url", "run_mse", "wbf_merge",
+            "ResultList", "engine_weight", "normalize_url", "run_mse", "wbf_merge",
         ),
         "ingest": (
             "CrawlConfig", "FetchError", "IngestError", "NoConceptError", "PageCache",

@@ -97,28 +97,16 @@ class PageRankResult:
 class CentralityTable:
     """Per-node scores of the three centralities.
 
-    The node lists ``degree_list``, ``closeness_list`` and ``pagerank_list``
-    are derived on each access, not stored: each sorts the whole node set
-    by descending score with ties broken by title (:func:`ranked_prefix`),
-    so identical graphs always produce byte-identical lists.
+    A ranking is derived from its score map, not stored:
+    ``ranked_prefix(table.degree, n)`` lists the best ``n`` titles by
+    descending score with ties broken by title, so identical graphs always
+    produce identical lists.
     """
 
     degree: dict[str, int]
     closeness: dict[str, float]
     pagerank: dict[str, float]
     pagerank_converged: bool = True
-
-    @property
-    def degree_list(self) -> list[str]:
-        return ranked_prefix(self.degree, len(self.degree))
-
-    @property
-    def closeness_list(self) -> list[str]:
-        return ranked_prefix(self.closeness, len(self.closeness))
-
-    @property
-    def pagerank_list(self) -> list[str]:
-        return ranked_prefix(self.pagerank, len(self.pagerank))
 
     def to_csv(self) -> str:
         """Dump as ``title,degree,closeness,pagerank`` rows (12 significant
@@ -319,8 +307,8 @@ def ranked_prefix(scores: dict[str, float], want: int) -> list[str]:
 
 
 def build_table(subgraph: ConceptSubgraph, params: PageRankParams | None = None) -> CentralityTable:
-    """Compute the three score maps; the ranked node lists are derived from
-    them on demand (:class:`CentralityTable`)."""
+    """Compute the three score maps; rankings are derived from them
+    (:func:`ranked_prefix`)."""
     deg = degree(subgraph)
     clo = closeness(subgraph)
     pr = pagerank(subgraph, params)

@@ -65,7 +65,6 @@ class ExpansionResult:
     survived filtering; ``qe_terms`` then holds all survivors.
     """
 
-    user_query: str
     qe_terms: list[str]
     borda_scores: dict[str, int] = field(default_factory=dict)
     provenance: dict[str, list[str]] = field(default_factory=dict)
@@ -154,35 +153,26 @@ def filter_terms(ranked: list[str], user_query: str, stopwords: frozenset[str]) 
 
 
 def term_lists(table: CentralityTable) -> dict[str, RankedTermList]:
-    """Convert the three centrality node lists into term lists.
-
-    Titles become terms via term_from_title; when two titles collapse to
-    the same term (e.g. "x (film)" and "x (novel)"), the higher-ranked
-    occurrence wins. The lists are permutations of one node set, so each
-    title is converted once.
-    """
-    term_of = {title: term_from_title(title) for title in table.degree}
+    """Every term of each graph source's ranking: its window as long as the
+    node set (:func:`_top_k_windows`)."""
     return {
-        source: RankedTermList(
-            source=source, terms=list(dict.fromkeys(map(term_of.__getitem__, titles)))
-        )
-        for source, titles in (
-            ("degree", table.degree_list),
-            ("closeness", table.closeness_list),
-            ("pagerank", table.pagerank_list),
-        )
+        source: RankedTermList(source=source, terms=terms)
+        for source, terms in _top_k_windows(table, len(table.degree)).items()
     }
 
 
 def _top_k_windows(table: CentralityTable, k: int) -> dict[str, list[str]]:
-    """The first ``k`` terms of each graph source's list.
+    """The first ``k`` distinct terms of each graph source's ranking.
 
-    Equal to ``term_lists(table)[source].terms[:k]``, without ranking or
-    converting the whole node set: each source ranks a prefix of its
-    ``want`` best titles (``want = k`` at first) and converts titles in
-    order until ``k`` distinct terms are found. Only when the prefix runs
-    out first (titles that collapse to one term) does ``want`` double and
-    the longer prefix get ranked. Each title is converted at most once.
+    A source's titles, by descending score with ties broken by title
+    (:func:`ranked_prefix`), become terms via :func:`term_from_title`;
+    when two titles collapse to one term (e.g. "x (film)" and "x
+    (novel)"), the higher-ranked occurrence wins. The whole node set is
+    never ranked or converted for a short window: each source ranks a
+    prefix of its ``want`` best titles (``want = k`` at first) and converts
+    titles in order until ``k`` distinct terms are found. Only when the
+    prefix runs out first does ``want`` double and the longer prefix get
+    ranked. Each title is converted at most once.
 
     The paper intersects each list's window with the other two lists.
     The three lists rank one node set and so hold one term set, which
@@ -229,7 +219,6 @@ def expand_query(
     qe_terms = surviving[:m]
     scores = dict(combined)
     return ExpansionResult(
-        user_query=user_query,
         qe_terms=qe_terms,
         borda_scores={t: scores[t] for t in qe_terms},
         provenance={
@@ -306,7 +295,6 @@ def thesaurus_expand(
         if not progressed:
             break
     return ExpansionResult(
-        user_query=user_query,
         qe_terms=picked,
         provenance=provenance,
         shortfall=len(picked) < m,

@@ -44,7 +44,6 @@ __all__ = [
     "EngineError",
     "EngineConfig",
     "KnowledgeWeights",
-    "SearchHit",
     "ResultList",
     "FusedList",
     "MseResult",
@@ -94,47 +93,31 @@ def normalize_url(url: str) -> str:
 GOLD_M = 10  # QE terms per knowledge source when generating the gold standard
 
 
-@dataclass(frozen=True)
-class SearchHit:
-    rank: int
-    url: str
-    title: str = ""
-
-
 @dataclass
 class ResultList:
-    """One engine's ranked results for one query.
+    """One engine's ranked results for one query: a URL's rank is its
+    1-based position in ``urls``.
 
-    Ranks must be contiguous from 1 and URLs unique after normalization;
-    use ``from_raw`` to build a valid list from arbitrary SERP rows.
+    URLs must be unique; use ``from_raw`` to build a valid list from
+    arbitrary SERP URLs.
     """
 
     engine: str
     query: str
-    entries: list[SearchHit]
+    urls: list[str]
 
     def __post_init__(self):
         seen = set()
-        for i, hit in enumerate(self.entries, start=1):
-            if hit.rank != i:
-                raise ValueError(f"ranks must be contiguous from 1 (position {i} has rank {hit.rank})")
-            if hit.url in seen:
-                raise ValueError(f"duplicate URL in result list: {hit.url}")
-            seen.add(hit.url)
+        for url in self.urls:
+            if url in seen:
+                raise ValueError(f"duplicate URL in result list: {url}")
+            seen.add(url)
 
     @classmethod
-    def from_raw(cls, engine: str, query: str, rows: list[tuple[str, str]]) -> "ResultList":
-        """Build from (url, title) rows: normalize, dedup keeping the first
-        occurrence, renumber ranks."""
-        entries = []
-        seen = set()
-        for url, title in rows:
-            norm = normalize_url(url)
-            if norm in seen:
-                continue
-            seen.add(norm)
-            entries.append(SearchHit(rank=len(entries) + 1, url=norm, title=title))
-        return cls(engine=engine, query=query, entries=entries)
+    def from_raw(cls, engine: str, query: str, urls: list[str]) -> "ResultList":
+        """Build from raw URLs in rank order: normalize, and keep the first
+        occurrence of each."""
+        return cls(engine=engine, query=query, urls=list(dict.fromkeys(map(normalize_url, urls))))
 
 
 @dataclass
@@ -175,11 +158,11 @@ def wbf_merge(lists: list[tuple[ResultList, float]], cap: int = 200) -> FusedLis
     for result_list, weight in lists:
         if weight < 0:
             raise ValueError("list weight must be >= 0")
-        window = result_list.entries[:cap]
+        window = result_list.urls[:cap]
         if window:
             contributing += 1
-        for hit in window:
-            scores[hit.url] = scores.get(hit.url, 0.0) + weight * (cap - hit.rank + 1)
+        for rank, url in enumerate(window, start=1):
+            scores[url] = scores.get(url, 0.0) + weight * (cap - rank + 1)
     ordered = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
     return FusedList(entries=ordered, contributing_lists=contributing)
 
@@ -200,7 +183,8 @@ class FixtureEngineAdapter:
 
     One file per (engine, query) pair, named by ``serp_fixture_name``:
     ``{"engine": ..., "query": ..., "results": [{"rank": 1, "url": ...,
-    "title": ...}, ...]}``.
+    "title": ...}, ...]}``. Only each result's ``url`` is read: its rank is
+    its position in ``results``.
     """
 
     def __init__(self, fixture_dir: str | Path):
@@ -210,8 +194,8 @@ class FixtureEngineAdapter:
         path = self.fixture_dir / serp_fixture_name(engine_id, query)
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-            rows = [(r["url"], r.get("title", "")) for r in payload["results"][:limit]]
-            return ResultList.from_raw(engine_id, query, rows)
+            urls = [r["url"] for r in payload["results"][:limit]]
+            return ResultList.from_raw(engine_id, query, urls)
         except FileNotFoundError as exc:
             raise EngineError(
                 f"no SERP fixture for engine {engine_id!r}, query {query!r} ({path.name})"
@@ -312,6 +296,6 @@ def gold_variants(
         raise ValueError(f"m must be >= 1, got {m}")
     variants = {}
     for source_list in all_sources:
-        expansion = ExpansionResult(user_query=user_query, qe_terms=source_list.terms[:m])
+        expansion = ExpansionResult(qe_terms=source_list.terms[:m])
         variants[source_list.source] = rewrite(user_query, expansion)
     return variants

@@ -126,6 +126,17 @@ def search_key(user_query: str) -> str:
     return " ".join(terms)
 
 
+def _page_title(title: str) -> str:
+    """The normalized title a page ``title`` is read under; IngestError naming
+    ``title`` when it normalizes to nothing or to a title the graph rejects."""
+    try:
+        page = normalize_title(title)
+        OntologyGraph._check_title(page)
+    except (ValueError, GraphError) as exc:
+        raise IngestError(f"cannot fetch {title!r}: {exc}") from None
+    return page
+
+
 # The JSON type of each cache record field, as error messages name it. The
 # key field (``title`` or ``query``) is checked against the key itself.
 _FIELD_TYPES = {
@@ -203,11 +214,13 @@ class PageCache:
         return os.path.join(self.root, kind, _hashed(key))  # os.path: cheaper than pathlib here
 
     def _titles(self, kind: str, key: str, titles: list[str]) -> list[str]:
-        """``titles`` from the record ``kind``/``key`` if the graph takes each, else IngestError."""
+        """``titles`` from the record ``kind``/``key`` if the graph takes each
+        and each names a page, else IngestError."""
         try:
             for title in titles:
                 OntologyGraph._check_title(title)
-        except GraphError as exc:
+                _page_title(title)
+        except (GraphError, IngestError) as exc:
             raise IngestError(f"malformed cache record {self._path(kind, key)}: {exc}") from None
         return titles
 
@@ -483,10 +496,6 @@ class WikiSource:
         return cls(cache, client)
 
     @property
-    def snapshot_mode(self) -> bool:
-        return self.client is None
-
-    @property
     def network_calls(self) -> int:
         return self.client.request_count if self.client else 0
 
@@ -503,8 +512,11 @@ class WikiSource:
         return results
 
     def fetch_page(self, title: str, config: CrawlConfig) -> PageRecord:
-        """Cached article fetch, outlinks truncated to the configured cap."""
-        title = normalize_title(title)
+        """Cached article fetch, outlinks truncated to the configured cap.
+
+        A title that normalizes to nothing, or to one the graph rejects,
+        raises :class:`IngestError` naming it."""
+        title = _page_title(title)
         record = self.cache.get_page(title)
         if record is None:
             if self.client is None:
@@ -548,7 +560,13 @@ class WikiSource:
         while frontier and graph.node_count < config.max_total_nodes:
             title = frontier.popleft()
             hop = graph.hop(title)
-            record = self.fetch_page(title, config)
+            try:
+                record = self.fetch_page(title, config)
+            except IngestError:  # name a page record listing the link, if its title is at fault
+                if hop:
+                    lister = next(page for page in graph.nodes if title in graph.outlinks(page))
+                    self.cache._titles("pages", normalize_title(lister), [title])
+                raise
             try:
                 added = graph.add_page(title, record.outlinks, hop)
             except GraphError:  # add_page checks each link title; name the record

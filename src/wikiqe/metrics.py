@@ -139,11 +139,6 @@ class JudgmentSet:
             grades.setdefault((row["query"], row["url"]), {})[row["judge"]] = grade
         return cls(grades)
 
-    @property
-    def grades(self) -> dict[tuple[str, str], dict[str, int]]:
-        """The flat (query, url) -> judge -> grade view the constructor takes."""
-        return {(q, url): pj for q, urls in self._by_query.items() for url, pj in urls.items()}
-
     def judges(self) -> list[str]:
         return list(self._judges)
 

@@ -1,8 +1,10 @@
 """Shared test helpers: direct subgraph construction, random graphs, the
-breadth-first hop oracle and the crawl-cache file name."""
+breadth-first hop oracle, the crawl-cache file name and the fixture
+queries' root closures."""
 
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,22 @@ def make_subgraph(adjacency: dict[str, list[str]], root: str | None = None) -> C
     nodes = tuple(position)
     rows = tuple(tuple(position[t] for t in adjacency.get(node, ())) for node in nodes)
     return ConceptSubgraph(root=root or nodes[0], nodes=nodes, targets=rows)
+
+
+def fixture_root_subgraphs():
+    """``(graph, subgraph, pagerank params)`` for the closure of every root of
+    every fixture query's crawl, in query and root order: 42 closures (the
+    30 queries share 10 crawls of 14 distinct roots)."""
+    from wikiqe.config import RunConfig
+    from wikiqe.ingest import PageCache, WikiSource
+
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    config = RunConfig.load(fixtures / "config.json")
+    source = WikiSource(PageCache(config.snapshot_dir))
+    for query in filter(None, (fixtures / "queries.txt").read_text(encoding="utf-8").split("\n")):
+        graph = source.build_graph(query, config.crawl)
+        for root in graph.roots:
+            yield graph, graph.isolate_subgraph(root), config.pagerank
 
 
 def bfs_hops(graph: OntologyGraph) -> dict[str, int]:

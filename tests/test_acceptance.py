@@ -13,7 +13,7 @@ import pytest
 
 from wikiqe.centrality import PageRankParams, build_table, closeness, degree, pagerank
 from wikiqe.cli import main
-from wikiqe.expand import borda_combine, expand_query, term_lists
+from wikiqe.expand import borda_combine, expand_query
 from wikiqe.fusion import (
     DEFAULT_ENGINES,
     SIX_SOURCE_WEIGHTS,
@@ -35,7 +35,7 @@ from wikiqe.metrics import (
 
 from conftest import make_subgraph, random_adjacency
 from test_centrality import oracle_closeness, oracle_degree, oracle_pagerank
-from test_expand import brute_force_borda
+from test_expand import brute_force_borda, full_sort_windows
 from test_fusion import brute_force_wbf
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -116,7 +116,7 @@ def test_criterion_2_intersection_and_borda_oracles():
         cases = 0
         for _ in range(120):
             table = random_titled_table(rng)
-            lists = {source: ranked.terms for source, ranked in term_lists(table).items()}
+            lists = full_sort_windows(table, len(table.degree))
             assert set(lists["degree"]) == set(lists["closeness"]) == set(lists["pagerank"])
             for k in (1, rng.randint(1, 45), 100):
                 intersections = []
@@ -168,7 +168,7 @@ def test_criterion_4_wbf_against_score_table():
     with criterion(4, "WBF merge equals brute-force score table on 6x200 fixture SERPs"):
         lists = shipped_google_lists()
         assert len(lists) == 6
-        assert all(len(rl.entries) == 200 for rl in lists)
+        assert all(len(rl.urls) == 200 for rl in lists)
         weighted = [
             (rl, engine_weight(w, 30))
             for rl, w in zip(lists, [30, 20, 20, 10, 10, 10])
@@ -342,10 +342,10 @@ def test_criterion_8_improvement_ratios_exceed_one(tmp_path):
         expanded = EvalReport(method="graph")
         for query, gold in gold_sets.items():
             for method, report in (("plain", baseline), ("expanded", expanded)):
-                ranked = [h.url for h in adapter.search("fixture", f"{query} {method}", 10).entries]
+                ranked = adapter.search("fixture", f"{query} {method}", 10).urls
                 retrieved_gold = set(ranked) & gold
                 if method == "expanded":
-                    plain = [h.url for h in adapter.search("fixture", f"{query} plain", 10).entries]
+                    plain = adapter.search("fixture", f"{query} plain", 10).urls
                     assert len(retrieved_gold) > len(set(plain) & gold)
                 report.record(query, "P", 3, precision_at(ranked, gold, 3))
                 report.record(query, "S", 3, success_at(ranked, gold, 3))

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from wikiqe.centrality import PageRankParams, build_table, closeness, degree, pagerank
+from wikiqe.centrality import PageRankParams, build_table, closeness, degree, pagerank, ranked_prefix
 
 from conftest import make_subgraph, random_adjacency
 
@@ -179,20 +179,25 @@ def test_pagerank_rejects_bad_params():
 # table
 # ---------------------------------------------------------------------------
 
+def full_ranking(scores):
+    """Every title of ``scores``, ranked: the longest prefix ``ranked_prefix`` gives."""
+    return ranked_prefix(scores, len(scores))
+
+
 def test_table_star_graph_puts_center_first():
     sub = make_subgraph({"m": ["a", "b", "c"]})
     table = build_table(sub)
-    assert table.degree_list[0] == "m"
-    assert table.closeness_list[0] == "m"
+    assert full_ranking(table.degree)[0] == "m"
+    assert full_ranking(table.closeness)[0] == "m"
 
 
 def test_table_isolated_nodes_sort_lexicographically():
     sub = make_subgraph({"zeta": [], "beta": [], "alpha": []})
     table = build_table(sub)
     expected = ["alpha", "beta", "zeta"]
-    assert table.degree_list == expected
-    assert table.closeness_list == expected
-    assert table.pagerank_list == expected
+    assert full_ranking(table.degree) == expected
+    assert full_ranking(table.closeness) == expected
+    assert full_ranking(table.pagerank) == expected
 
 
 def test_table_lists_equal_oracle_sorting_of_oracle_scores(rng):
@@ -203,9 +208,9 @@ def test_table_lists_equal_oracle_sorting_of_oracle_scores(rng):
     def oracle_sort(scores):
         return sorted(scores, key=lambda v: (-scores[v], v))
 
-    assert table.degree_list == oracle_sort(oracle_degree(adjacency))
-    assert table.closeness_list == oracle_sort(oracle_closeness(adjacency))
-    assert table.pagerank_list == oracle_sort(oracle_pagerank(adjacency, PageRankParams()))
+    assert full_ranking(table.degree) == oracle_sort(oracle_degree(adjacency))
+    assert full_ranking(table.closeness) == oracle_sort(oracle_closeness(adjacency))
+    assert full_ranking(table.pagerank) == oracle_sort(oracle_pagerank(adjacency, PageRankParams()))
 
 
 def test_relabeling_nodes_permutes_scores(rng):
@@ -224,9 +229,8 @@ def test_lists_are_deterministic(rng):
     adjacency = random_adjacency(rng, 40, 0.08)
     first = build_table(make_subgraph(adjacency))
     second = build_table(make_subgraph(adjacency))
-    assert first.degree_list == second.degree_list
-    assert first.closeness_list == second.closeness_list
-    assert first.pagerank_list == second.pagerank_list
+    for name in ("degree", "closeness", "pagerank"):
+        assert full_ranking(getattr(first, name)) == full_ranking(getattr(second, name))
 
 
 def test_csv_dump_has_stable_columns():

@@ -13,20 +13,16 @@ The references walk an adjacency mapping taken from the parent graph's
 so a numbering bug in the kernels' input cannot agree with itself.
 """
 
+import hashlib
 import random
 from collections import deque
-from pathlib import Path
 
 import pytest
 
 from wikiqe.centrality import PageRankParams, build_table, closeness, pagerank
-from wikiqe.config import RunConfig
-from wikiqe.ingest import PageCache, WikiSource
 
-from conftest import make_subgraph, random_adjacency
+from conftest import fixture_root_subgraphs, make_subgraph, random_adjacency
 from test_acceptance import crawl_shaped_graph
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +131,22 @@ def test_bit_exact_on_crawl_shaped_graph():
 
 
 def test_bit_exact_on_fixture_queries():
-    config = RunConfig.load(FIXTURES / "config.json")
-    source = WikiSource(PageCache(config.snapshot_dir))
-    queries = (FIXTURES / "queries.txt").read_text(encoding="utf-8").split("\n")
-    for query in filter(None, queries):
-        graph = source.build_graph(query, config.crawl)
-        for root in graph.roots:
-            sub = graph.isolate_subgraph(root)
-            assert_bit_exact(sub, parent_adjacency(graph, sub), config.pagerank)
+    for graph, sub, pagerank_params in fixture_root_subgraphs():
+        assert_bit_exact(sub, parent_adjacency(graph, sub), pagerank_params)
+
+
+# sha256 of every closeness score's float.hex, in node order, over the 42
+# fixture-root closures, as CPython 3.11 computes them. Closeness adds its
+# floats one way on every release, so every release must give these bits.
+FIXTURE_CLOSENESS_SHA256 = "0d083d40475a22ce440709fde8c804a63c7cb0087ef52b36e4aa9cbbfed66308"
+
+
+def test_closeness_bits_are_pinned_across_releases():
+    digest = hashlib.sha256()
+    for _, sub, _ in fixture_root_subgraphs():
+        for node, score in closeness(sub).items():
+            digest.update(f"{node}\t{float(score).hex()}\n".encode("utf-8"))
+    assert digest.hexdigest() == FIXTURE_CLOSENESS_SHA256
 
 
 def test_bit_exact_on_random_cyclic_and_disconnected_graphs():

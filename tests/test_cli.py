@@ -529,7 +529,12 @@ def test_bench_skips_only_queries_hit_by_a_mistyped_cache_record(
     assert len(out.splitlines()) == 1 + 30 - len(skipped)
 
 
-BAD_TITLES = [pytest.param("a|b", id="reserved"), pytest.param("", id="empty")]
+BAD_TITLES = [
+    pytest.param("a|b", id="reserved"),
+    pytest.param("", id="empty"),
+    pytest.param(" ", id="blank"),  # normalizes to nothing
+    pytest.param("a%7Cb", id="escaped-reserved"),  # normalizes to "a|b"
+]
 BAD_TITLE_RECORDS = [
     pytest.param("pages", "alcoholism", "outlinks", id="page"),
     pytest.param("searches", search_key(QUERY), "results", id="search"),
@@ -549,7 +554,12 @@ def snapshot_with_bad_title(tmp_path, kind, key, field, title):
 
 
 def bad_title_message(path, title):
-    problem = f"title contains reserved character: {title!r}" if title else "empty concept title"
+    problem = {
+        "a|b": "title contains reserved character: 'a|b'",
+        "": "empty concept title",
+        " ": "cannot fetch ' ': title normalizes to empty string: ' '",
+        "a%7Cb": "cannot fetch 'a%7Cb': title contains reserved character: 'a|b'",
+    }[title]
     return f"malformed cache record {path}: {problem}"
 
 

@@ -27,7 +27,7 @@ from wikiqe.expand import (
 from wikiqe.ingest import WikiSource, search_key
 from wikiqe.text import default_stopwords, load_stopwords
 
-from conftest import make_subgraph
+from conftest import fixture_root_subgraphs, make_subgraph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -180,9 +180,10 @@ def test_expand_identical_lists_keep_shared_order():
     # pre-filter Borda ranking must equal that shared order.
     adjacency = {"delta": [], "alpha": [], "carol": []}
     table = build_table(make_subgraph(adjacency))
-    assert table.degree_list == table.closeness_list == table.pagerank_list
+    order = ranked_prefix(table.degree, 3)
+    assert order == ranked_prefix(table.closeness, 3) == ranked_prefix(table.pagerank, 3)
     result = expand_query(table, "zz", m=3)
-    assert result.qe_terms == table.degree_list
+    assert result.qe_terms == order
 
 
 def test_expand_shortfall_flag():
@@ -207,15 +208,15 @@ def test_intersection_follows_primary_order():
     # lists that keeps every term of the window, in that source's own order.
     table = fixture_table()
     lists = source_term_lists(table, "zzz", stopwords=frozenset())
-    for source, ranked_terms in term_lists(table).items():
-        assert lists[source].terms == ranked_terms.terms[:100]
+    for source, window in full_sort_windows(table, 100).items():
+        assert lists[source].terms == window
 
 
 def test_intersection_respects_k_window():
     table = fixture_table()
-    lists = term_lists(table)
-    for k in range(1, len(lists["degree"].terms) + 2):
-        windows = [lists[s].terms[:k] for s in ("degree", "closeness", "pagerank")]
+    lists = full_sort_windows(table, len(table.degree))
+    for k in range(1, len(lists["degree"]) + 2):
+        windows = [lists[s][:k] for s in ("degree", "closeness", "pagerank")]
         fused = brute_force_borda(windows)
         result = expand_query(table, "zzz", m=len(fused), stopwords=frozenset(), k=k)
         assert result.qe_terms == [t for t, _ in fused]
@@ -238,7 +239,7 @@ def test_intersection_is_subset_of_primary_prefix(rng):
         titles = rng.sample(universe, rng.randint(1, len(universe)))
         adjacency = {t: [x for x in titles if x != t and rng.random() < 0.3] for t in titles}
         table = build_table(make_subgraph(adjacency))
-        lists = {s: ranked_terms.terms for s, ranked_terms in term_lists(table).items()}
+        lists = full_sort_windows(table, len(table.degree))
         k = rng.randint(1, 15)
         windowed = source_term_lists(table, "zzz", stopwords=frozenset(), k=k)
         for source in sources:
@@ -291,7 +292,6 @@ def full_sort_expand(table, user_query, m, stopwords, k):
     qe_terms = filter_terms([term for term, _ in combined], user_query, stopwords)[:m]
     scores = dict(combined)
     return ExpansionResult(
-        user_query=user_query,
         qe_terms=qe_terms,
         borda_scores={t: scores[t] for t in qe_terms},
         provenance={t: [s for s in SOURCES if t in windows[s]] for t in qe_terms},
@@ -310,6 +310,18 @@ def assert_matches_full_sort(table, user_query, k, stopwords):
         source: ranked(source, filter_terms(window, user_query, stopwords))
         for source, window in windows.items()
     }
+
+
+def assert_term_lists_match_full_sort(table):
+    assert term_lists(table) == {
+        source: ranked(source, terms)
+        for source, terms in full_sort_windows(table, len(table.degree)).items()
+    }
+
+
+def test_term_lists_match_full_sort_on_every_fixture_root():
+    for _, subgraph, pagerank_params in fixture_root_subgraphs():
+        assert_term_lists_match_full_sort(build_table(subgraph, pagerank_params))
 
 
 def stress_ks(table):
@@ -333,6 +345,7 @@ def test_top_k_matches_full_sort_on_tied_graphs():
         targets = st.lists(st.sampled_from(titles), max_size=2, unique=True)
         adjacency = {t: [x for x in data.draw(targets) if x != t] for t in titles}
         table = build_table(make_subgraph(adjacency))
+        assert_term_lists_match_full_sort(table)
         for k in stress_ks(table):
             assert_matches_full_sort(table, "x1 zzz", k, TIED_STOPWORDS)
 
@@ -446,17 +459,17 @@ def test_synonym_file_rejects_missing_colon(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_rewrite_drops_operators_appends_terms():
-    expansion = ExpansionResult(user_query="", qe_terms=["alcoholic beverage"])
+    expansion = ExpansionResult(qe_terms=["alcoholic beverage"])
     assert rewrite("adolescent and alcoholism", expansion) == "adolescent alcoholism alcoholic beverage"
 
 
 def test_rewrite_empty_expansion_returns_content_tokens():
-    expansion = ExpansionResult(user_query="", qe_terms=[])
+    expansion = ExpansionResult(qe_terms=[])
     assert rewrite("adolescent and alcoholism", expansion) == "adolescent alcoholism"
 
 
 def test_rewrite_or_query():
-    expansion = ExpansionResult(user_query="", qe_terms=["coding theory"])
+    expansion = ExpansionResult(qe_terms=["coding theory"])
     assert rewrite("programming or algorithm", expansion) == "programming algorithm coding theory"
 
 

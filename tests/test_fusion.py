@@ -16,7 +16,6 @@ from wikiqe.fusion import (
     GOLD_M,
     KnowledgeWeights,
     ResultList,
-    SearchHit,
     engine_weight,
     gold_source_lists,
     gold_variants,
@@ -30,11 +29,7 @@ from test_expand import fixture_table
 
 
 def result_list(engine, query, urls):
-    return ResultList(
-        engine=engine,
-        query=query,
-        entries=[SearchHit(rank=i, url=u, title=f"t{i}") for i, u in enumerate(urls, 1)],
-    )
+    return ResultList(engine=engine, query=query, urls=list(urls))
 
 
 def write_serp(directory, engine, query, urls):
@@ -106,22 +101,15 @@ def test_knowledge_weights_validation():
 # result lists
 # ---------------------------------------------------------------------------
 
-def test_result_list_rejects_rank_gaps_and_duplicates():
-    with pytest.raises(ValueError):
-        ResultList("e", "q", [SearchHit(2, "https://a/1")])
-    with pytest.raises(ValueError):
-        ResultList("e", "q", [SearchHit(1, "https://a/1"), SearchHit(2, "https://a/1")])
+def test_result_list_rejects_duplicate_urls():
+    with pytest.raises(ValueError, match="duplicate URL in result list: https://a/1"):
+        ResultList("e", "q", ["https://a/1", "https://a/1"])
 
 
 def test_from_raw_normalizes_and_dedups():
-    rows = [
-        ("HTTPS://A.com/x#top", "first"),
-        ("https://a.com/x", "dup"),
-        ("https://b.com/y", "second"),
-    ]
-    rl = ResultList.from_raw("e", "q", rows)
-    assert [h.url for h in rl.entries] == ["https://a.com/x", "https://b.com/y"]
-    assert [h.rank for h in rl.entries] == [1, 2]
+    urls = ["HTTPS://A.com/x#top", "https://a.com/x", "https://b.com/y"]
+    rl = ResultList.from_raw("e", "q", urls)
+    assert rl.urls == ["https://a.com/x", "https://b.com/y"]
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +161,11 @@ def brute_force_wbf(lists, cap):
     """Independent per-URL score table."""
     table = {}
     for rl, weight in lists:
-        for hit in rl.entries:
-            if hit.rank > cap:
+        for rank, url in enumerate(rl.urls, 1):
+            if rank > cap:
                 continue
-            table.setdefault(hit.url, 0.0)
-            table[hit.url] += weight * (cap - hit.rank + 1)
+            table.setdefault(url, 0.0)
+            table[url] += weight * (cap - rank + 1)
     return sorted(table.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
@@ -214,7 +202,7 @@ def test_fixture_adapter_roundtrip(tmp_path):
     adapter = FixtureEngineAdapter(tmp_path)
     rl = adapter.search("google", "some query", 10)
     assert rl.engine == "google"
-    assert [h.url for h in rl.entries] == ["https://a/1", "https://b/2"]
+    assert rl.urls == ["https://a/1", "https://b/2"]
 
 
 def test_fixture_adapter_missing_file(tmp_path):
@@ -226,7 +214,7 @@ def test_fixture_adapter_missing_file(tmp_path):
 def test_fixture_adapter_respects_limit(tmp_path):
     write_serp(tmp_path, "bing", "q", [f"https://u/{i}" for i in range(1, 8)])
     rl = FixtureEngineAdapter(tmp_path).search("bing", "q", 3)
-    assert len(rl.entries) == 3
+    assert len(rl.urls) == 3
 
 
 @pytest.mark.parametrize("bad_url", ["http://x.org:99999/p", 5])

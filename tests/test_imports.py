@@ -80,7 +80,7 @@ def test_queries_loads_only_cli_and_text(tmp_path):
 
 
 def test_every_public_name_is_its_defining_modules_binding():
-    assert len(wikiqe.__all__) == len(set(wikiqe.__all__)) == 52
+    assert len(wikiqe.__all__) == len(set(wikiqe.__all__)) == 51
     assert set(wikiqe.__all__) <= set(dir(wikiqe))
     for name, module in wikiqe._EXPORTS.items():
         assert getattr(wikiqe, name) is getattr(importlib.import_module(f"wikiqe.{module}"), name)

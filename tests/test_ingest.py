@@ -248,7 +248,7 @@ def test_env_var_selects_snapshot_mode(tmp_path, monkeypatch):
     make_snapshot(tmp_path, pages={"x": []})
     monkeypatch.setenv(SNAPSHOT_ENV, str(tmp_path))
     source = WikiSource.from_env()
-    assert source.snapshot_mode
+    assert source.client is None
 
 
 @pytest.mark.parametrize("via_env", [False, True], ids=["argument", "env"])
@@ -329,14 +329,22 @@ def test_resolver_expands_disambiguation_pages(tmp_path):
     assert candidates == ["mercury (element)", "mercury (planet)"]
 
 
-@pytest.mark.parametrize("title", [pytest.param("a|b", id="reserved"), pytest.param("", id="empty")])
+@pytest.mark.parametrize("title, problem", [
+    pytest.param("a|b", "title contains reserved character: 'a|b'", id="reserved"),
+    pytest.param("", "empty concept title", id="empty"),
+    # The graph takes these as they stand, but they name no page: they
+    # normalize to nothing or to a title the graph rejects.
+    pytest.param(" ", "cannot fetch ' ': title normalizes to empty string: ' '", id="blank"),
+    pytest.param("a%7Cb", "cannot fetch 'a%7Cb': title contains reserved character: 'a|b'",
+                 id="escaped-reserved"),
+])
 @pytest.mark.parametrize("kind, key", [
     pytest.param("searches", "mercury", id="search-results"),
     pytest.param("pages", "mercury", id="disambiguation-links"),
     pytest.param("pages", "mercury (element)", id="crawled-links"),
 ])
 def test_build_graph_names_the_cache_record_holding_a_title_the_graph_rejects(
-    tmp_path, kind, key, title
+    tmp_path, kind, key, title, problem
 ):
     searches = {"mercury": ["mercury"]}
     pages = {"mercury": ["mercury (element)", "mercury (planet)"], "mercury (element)": ["venus"]}
@@ -344,8 +352,27 @@ def test_build_graph_names_the_cache_record_holding_a_title_the_graph_rejects(
     source = make_snapshot(tmp_path, searches, pages, disambiguations={"mercury"})
     with pytest.raises(IngestError) as caught:
         source.build_graph("mercury", CrawlConfig())
-    problem = f"title contains reserved character: {title!r}" if title else "empty concept title"
     assert str(caught.value) == f"malformed cache record {tmp_path / kind / hashed_name(key)}: {problem}"
+
+
+@pytest.mark.parametrize("title, problem", [
+    pytest.param(" ", "title normalizes to empty string: ' '", id="blank"),
+    pytest.param("a%7Cb", "title contains reserved character: 'a|b'", id="escaped-reserved"),
+    pytest.param("", "title normalizes to empty string: ''", id="empty"),
+    pytest.param("a|b", "title contains reserved character: 'a|b'", id="reserved"),
+])
+def test_fetch_page_names_a_title_no_page_can_have(tmp_path, title, problem):
+    source = make_snapshot(tmp_path)
+    with pytest.raises(IngestError) as caught:
+        source.fetch_page(title, CrawlConfig())
+    assert str(caught.value) == f"cannot fetch {title!r}: {problem}"
+
+
+def test_build_graph_fetches_no_link_at_the_hop_bound(tmp_path):
+    # A link no page can have is harmless where the crawl never reads it.
+    source = make_snapshot(tmp_path, {"mercury": ["mercury"]}, {"mercury": [" ", "venus"]})
+    graph = source.build_graph("mercury", CrawlConfig(hop_bound=1))
+    assert graph.outlinks("mercury") == [" ", "venus"]
 
 
 def test_build_graph_checks_only_the_links_it_reads(tmp_path):

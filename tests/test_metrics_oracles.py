@@ -110,10 +110,6 @@ def test_judgment_lookups_match_the_raw_rows(raw):
 
     assert judgments.judges() == judges
     assert judgments.queries() == queries
-    assert judgments.grades == {
-        (q, u): {j: g for (q2, u2, j), g in last.items() if (q2, u2) == (q, u)}
-        for q, u in first_seen
-    }
     for query in queries + ["absent"]:
         for judge in judges + ["nobody"]:
             expected = [(u, last[(q, u, judge)]) for q, u in first_seen
