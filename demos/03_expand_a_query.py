@@ -32,7 +32,7 @@ print("graph-based expansion terms:")
 for term in result.qe_terms:
     sets = "+".join(result.provenance[term])
     print(f"  {term:<32} borda={result.borda_scores[term]:<3} from {sets}")
-print(f"rewritten query: {rewrite(query, result)!r}\n")
+print(f"rewritten query: {rewrite(query, result.qe_terms)!r}\n")
 
 # Thesaurus baselines walk the query's content words in order and take
 # the next unused synonym from each word's list, cycling until m terms.

@@ -17,7 +17,7 @@ from wikiqe import (
     run_mse,
     wbf_merge,
 )
-from wikiqe.fusion import DEFAULT_ENGINES, SIX_SOURCE_WEIGHTS, gold_source_lists, gold_variants
+from wikiqe.fusion import DEFAULT_ENGINES, SIX_SOURCE_WEIGHTS, gold_variants
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 query = "adolescent alcoholism"
@@ -36,8 +36,7 @@ table = build_table(graph.select_best_concept())
 dictionaries = {
     name: FIXTURES / "dicts" / f"{name}.txt" for name in ("wordnet", "wikisynonyms", "moby")
 }
-lists = gold_source_lists(table, query, SIX_SOURCE_WEIGHTS, dictionaries)
-variants = gold_variants(query, lists)
+variants = gold_variants(table, query, SIX_SOURCE_WEIGHTS, dictionaries)
 print("\nexpanded query per knowledge source:")
 for name, variant in sorted(variants.items()):
     print(f"  {name:<13} {variant}")

@@ -22,7 +22,6 @@ from wikiqe.config import BASIC_QUERIES, RunConfig, benchmark_queries  # noqa: E
 from wikiqe.fusion import (  # noqa: E402
     DEFAULT_ENGINES,
     SIX_SOURCE_WEIGHTS,
-    gold_source_lists,
     gold_variants,
     serp_fixture_name,
 )
@@ -282,8 +281,7 @@ def adolescent_variants() -> dict[str, str]:
     best = graph.select_best_concept()
     table = build_table(best)
     dictionaries = {name: FIXTURES / "dicts" / f"{name}.txt" for name in DICTIONARIES}
-    lists = gold_source_lists(table, "adolescent alcoholism", SIX_SOURCE_WEIGHTS, dictionaries)
-    return gold_variants("adolescent alcoholism", lists)
+    return gold_variants(table, "adolescent alcoholism", SIX_SOURCE_WEIGHTS, dictionaries)
 
 
 def build_serps(variants: dict[str, str]) -> None:

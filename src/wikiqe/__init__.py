@@ -40,7 +40,7 @@ _EXPORTS = {
         ),
         "metrics": (
             "EvalReport", "JudgmentSet", "cohens_kappa", "improvement_ratios", "ndcg_at",
-            "precision_at", "success_at", "timed",
+            "precision_at", "success_at",
         ),
         "config": ("ConfigError", "EngineConfig", "KnowledgeWeights", "RunConfig"),
         "text": ("benchmark_queries",),

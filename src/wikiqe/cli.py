@@ -119,7 +119,7 @@ def cmd_expand(args) -> int:
         print(f"  {i}. {term}  borda={result.borda_scores.get(term, 0)} sets={sets}")
     if result.shortfall:
         print(f"warning: only {len(result.qe_terms)} of {args.m} terms survived filtering")
-    print(f"rewritten: {rewrite(args.query, result)}")
+    print(f"rewritten: {rewrite(args.query, result.qe_terms)}")
     return 2 if result.shortfall else 0
 
 
@@ -128,7 +128,6 @@ def cmd_gold(args) -> int:
         FixtureEngineAdapter,
         FusionError,
         KnowledgeWeights,
-        gold_source_lists,
         gold_variants,
         run_mse,
     )
@@ -152,10 +151,9 @@ def cmd_gold(args) -> int:
         raise FusionError("gold generation needs a SERP fixture directory (paths.serp_dir)")
     graph = _source(config).build_graph(args.query, config.crawl)
     _, table = _best_table(config, graph)
-    sources = gold_source_lists(
+    variants = gold_variants(
         table, args.query, config.weights, config.dictionaries, _stopwords(config), config.seed
     )
-    variants = gold_variants(args.query, sources)
     adapter = FixtureEngineAdapter(config.serp_dir)
     outcome = run_mse(adapter, variants, config.engines, config.weights, cap=args.cap)
     for failure in outcome.failures:
@@ -225,9 +223,9 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     import csv
     import io
+    from time import perf_counter
 
     from .ingest import IngestError, search_key
-    from .metrics import timed
 
     if args.m < 1:
         raise ValueError(f"m must be >= 1, got {args.m}")
@@ -252,7 +250,9 @@ def cmd_bench(args) -> int:
         except IngestError as exc:
             print(f"skipping {query!r}: {exc}", file=sys.stderr)
             continue
-        (_, result), seconds = timed(_expand, config, graphs[key], query, args.m, stopwords)
+        start = perf_counter()
+        _, result = _expand(config, graphs[key], query, args.m, stopwords)
+        seconds = perf_counter() - start
         writer.writerow([query, f"{seconds:.6f}", " | ".join(result.qe_terms)])
     _write_report(args.out, report.getvalue())
     return 0

@@ -301,6 +301,6 @@ def thesaurus_expand(
     )
 
 
-def rewrite(user_query: str, expansion: ExpansionResult) -> str:
+def rewrite(user_query: str, terms: list[str]) -> str:
     """Final query reformulation: content tokens plus QE terms, space-joined."""
-    return " ".join(content_tokens(user_query) + list(expansion.qe_terms))
+    return " ".join(content_tokens(user_query) + list(terms))

@@ -14,7 +14,9 @@ entire runs are reproducible offline.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import urllib.parse
 from dataclasses import dataclass, field
@@ -30,9 +32,6 @@ from .config import (
 )
 from .expand import (
     KNOWLEDGE_SOURCES,
-    THESAURUS_SOURCES,
-    ExpansionResult,
-    RankedTermList,
     SynonymDictionary,
     rewrite,
     source_term_lists,
@@ -52,7 +51,6 @@ __all__ = [
     "wbf_merge",
     "run_mse",
     "gold_variants",
-    "gold_source_lists",
     "FixtureEngineAdapter",
     "serp_fixture_name",
     "DEFAULT_ENGINES",
@@ -102,8 +100,6 @@ class ResultList:
     arbitrary SERP URLs.
     """
 
-    engine: str
-    query: str
     urls: list[str]
 
     def __post_init__(self):
@@ -114,10 +110,10 @@ class ResultList:
             seen.add(url)
 
     @classmethod
-    def from_raw(cls, engine: str, query: str, urls: list[str]) -> "ResultList":
+    def from_raw(cls, urls: list[str]) -> "ResultList":
         """Build from raw URLs in rank order: normalize, and keep the first
         occurrence of each."""
-        return cls(engine=engine, query=query, urls=list(dict.fromkeys(map(normalize_url, urls))))
+        return cls(list(dict.fromkeys(map(normalize_url, urls))))
 
 
 @dataclass
@@ -131,10 +127,13 @@ class FusedList:
         return [url for url, _ in self.entries]
 
     def to_csv(self) -> str:
-        lines = ["rank,url,score"]
+        """``rank,url,score`` rows; a URL holding a comma or quote is quoted."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["rank", "url", "score"])
         for rank, (url, score) in enumerate(self.entries, start=1):
-            lines.append(f"{rank},{url},{score:.12g}")
-        return "\n".join(lines) + "\n"
+            writer.writerow([rank, url, f"{score:.12g}"])
+        return out.getvalue()
 
 
 def engine_weight(w_source: float, se_conf: int) -> float:
@@ -195,7 +194,7 @@ class FixtureEngineAdapter:
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
             urls = [r["url"] for r in payload["results"][:limit]]
-            return ResultList.from_raw(engine_id, query, urls)
+            return ResultList.from_raw(urls)
         except FileNotFoundError as exc:
             raise EngineError(
                 f"no SERP fixture for engine {engine_id!r}, query {query!r} ({path.name})"
@@ -256,15 +255,17 @@ def run_mse(
     return MseResult(fused=wbf_merge(collected, cap=cap), failures=failures)
 
 
-def gold_source_lists(
+def gold_variants(
     table: CentralityTable,
     user_query: str,
     weights: KnowledgeWeights,
     dictionaries: dict[str, str | Path],
     stopwords: frozenset[str] | None = None,
     seed: int = 0,
-) -> list[RankedTermList]:
-    """QE candidate list of every weighted knowledge source, for the gold standard.
+) -> dict[str, str]:
+    """The gold standard's expanded query of every weighted knowledge source,
+    in ``KNOWLEDGE_SOURCES`` order: ``user_query`` rewritten with the
+    source's first GOLD_M terms.
 
     Graph sources take their filtered top-k windows from the centrality
     table; each thesaurus source takes GOLD_M round-robin synonyms from its
@@ -273,29 +274,19 @@ def gold_source_lists(
     """
     weight_map = weights.as_map()
     graph_lists = source_term_lists(table, user_query, stopwords)
-    lists = [ranked for source, ranked in graph_lists.items() if weight_map[source] > 0]
-    for source in THESAURUS_SOURCES:
+    variants = {}
+    for source in KNOWLEDGE_SOURCES:
         if weight_map[source] <= 0:
             continue
-        path = dictionaries.get(source)
-        if path is None:
-            raise FusionError(f"source {source!r} has weight > 0 but no dictionary configured")
-        dictionary = SynonymDictionary.from_file(
-            path, ordering="unranked" if source == "moby" else "ranked"
-        )
-        expansion = thesaurus_expand(dictionary, user_query, GOLD_M, stopwords, seed=seed)
-        lists.append(RankedTermList(source=source, terms=expansion.qe_terms))
-    return lists
-
-
-def gold_variants(
-    user_query: str, all_sources: list[RankedTermList], m: int = GOLD_M
-) -> dict[str, str]:
-    """One rewritten query per knowledge source, using its top-m terms."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    variants = {}
-    for source_list in all_sources:
-        expansion = ExpansionResult(qe_terms=source_list.terms[:m])
-        variants[source_list.source] = rewrite(user_query, expansion)
+        if source in graph_lists:
+            terms = graph_lists[source].terms
+        else:
+            path = dictionaries.get(source)
+            if path is None:
+                raise FusionError(f"source {source!r} has weight > 0 but no dictionary configured")
+            dictionary = SynonymDictionary.from_file(
+                path, ordering="unranked" if source == "moby" else "ranked"
+            )
+            terms = thesaurus_expand(dictionary, user_query, GOLD_M, stopwords, seed=seed).qe_terms
+        variants[source] = rewrite(user_query, terms[:GOLD_M])
     return variants

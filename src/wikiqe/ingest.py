@@ -386,7 +386,8 @@ class WikiClient:
         raise FetchError(f"request failed after {self.max_retries} attempts: {last_error}")
 
     def search(self, query: str, limit: int) -> list[str]:
-        """Top article titles for a search string, normalized, best first."""
+        """Top article titles for a search string, normalized, best first. A
+        hit whose title names no page (``_page_title``) is a FetchError."""
         data = self._call({
             "action": "query",
             "list": "search",
@@ -406,15 +407,16 @@ class WikiClient:
                 raise FetchError(f"malformed search response for {query!r}: "
                                  f"a hit without a title: {hit!r}")
             try:
-                title = normalize_title(title)
-            except ValueError as exc:
+                title = _page_title(title)
+            except IngestError as exc:
                 raise FetchError(f"malformed search response for {query!r}: {exc}") from None
             if title not in titles:
                 titles.append(title)
         return titles
 
     def page(self, title: str) -> PageRecord:
-        """Fetch one article's body links (redirects resolved first)."""
+        """Fetch one article's body links (redirects resolved first), less
+        the links whose title the graph rejects."""
         data = self._call({
             "action": "parse",
             "page": title,
@@ -454,9 +456,11 @@ class WikiClient:
         html = text.get("*", "")
         if not isinstance(html, str):
             raise malformed(f"page HTML is a {type(html).__name__}, not a string")
+        # A normalized link holds no whitespace but " ", so "|" is the one
+        # character of the graph's reserved set it can still hold.
         return PageRecord(
             title=title,
-            outlinks=_article_links(html),
+            outlinks=[link for link in _article_links(html) if "|" not in link],
             fetched_at=time.time(),
             source="live",
             disambiguation=disambiguation,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,7 +22,6 @@ __all__ = [
     "success_at",
     "ndcg_at",
     "cohens_kappa",
-    "timed",
     "JudgmentSet",
     "EvalReport",
     "csv_table",
@@ -99,13 +97,6 @@ def cohens_kappa(judge_a: list[int], judge_b: list[int]) -> float:
     if expected == 1.0:
         return 1.0 if observed == 1.0 else 0.0
     return (observed - expected) / (1.0 - expected)
-
-
-def timed(stage, *args, **kwargs):
-    """Run a pipeline stage and return (result, wall-clock seconds)."""
-    start = time.perf_counter()
-    result = stage(*args, **kwargs)
-    return result, time.perf_counter() - start
 
 
 class JudgmentSet:

@@ -459,18 +459,15 @@ def test_synonym_file_rejects_missing_colon(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_rewrite_drops_operators_appends_terms():
-    expansion = ExpansionResult(qe_terms=["alcoholic beverage"])
-    assert rewrite("adolescent and alcoholism", expansion) == "adolescent alcoholism alcoholic beverage"
+    assert rewrite("adolescent and alcoholism", ["alcoholic beverage"]) == "adolescent alcoholism alcoholic beverage"
 
 
 def test_rewrite_empty_expansion_returns_content_tokens():
-    expansion = ExpansionResult(qe_terms=[])
-    assert rewrite("adolescent and alcoholism", expansion) == "adolescent alcoholism"
+    assert rewrite("adolescent and alcoholism", []) == "adolescent alcoholism"
 
 
 def test_rewrite_or_query():
-    expansion = ExpansionResult(qe_terms=["coding theory"])
-    assert rewrite("programming or algorithm", expansion) == "programming algorithm coding theory"
+    assert rewrite("programming or algorithm", ["coding theory"]) == "programming algorithm coding theory"
 
 
 # ---------------------------------------------------------------------------

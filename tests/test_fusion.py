@@ -1,11 +1,13 @@
 """Weighted Borda fusion, URL normalization, adapters and metasearch runs."""
 
+import csv
+import io
 import json
 from pathlib import Path
 
 import pytest
 
-from wikiqe.expand import RankedTermList, source_term_lists
+from wikiqe.expand import SynonymDictionary, rewrite, source_term_lists, thesaurus_expand
 from wikiqe.fusion import (
     DEFAULT_ENGINES,
     SIX_SOURCE_WEIGHTS,
@@ -17,7 +19,6 @@ from wikiqe.fusion import (
     KnowledgeWeights,
     ResultList,
     engine_weight,
-    gold_source_lists,
     gold_variants,
     normalize_url,
     run_mse,
@@ -26,10 +27,6 @@ from wikiqe.fusion import (
 )
 
 from test_expand import fixture_table
-
-
-def result_list(engine, query, urls):
-    return ResultList(engine=engine, query=query, urls=list(urls))
 
 
 def write_serp(directory, engine, query, urls):
@@ -103,12 +100,12 @@ def test_knowledge_weights_validation():
 
 def test_result_list_rejects_duplicate_urls():
     with pytest.raises(ValueError, match="duplicate URL in result list: https://a/1"):
-        ResultList("e", "q", ["https://a/1", "https://a/1"])
+        ResultList(["https://a/1", "https://a/1"])
 
 
 def test_from_raw_normalizes_and_dedups():
     urls = ["HTTPS://A.com/x#top", "https://a.com/x", "https://b.com/y"]
-    rl = ResultList.from_raw("e", "q", urls)
+    rl = ResultList.from_raw(urls)
     assert rl.urls == ["https://a.com/x", "https://b.com/y"]
 
 
@@ -117,15 +114,15 @@ def test_from_raw_normalizes_and_dedups():
 # ---------------------------------------------------------------------------
 
 def test_merge_single_list_identity():
-    rl = result_list("e", "q", ["https://u/1", "https://u/2", "https://u/3"])
+    rl = ResultList(["https://u/1", "https://u/2", "https://u/3"])
     fused = wbf_merge([(rl, 1.0)], cap=3)
     assert fused.urls() == ["https://u/1", "https://u/2", "https://u/3"]
     assert [s for _, s in fused.entries] == [3.0, 2.0, 1.0]
 
 
 def test_merge_hand_enumerated():
-    l1 = result_list("e1", "q", ["https://u/1", "https://u/2"])
-    l2 = result_list("e2", "q", ["https://u/2", "https://u/1"])
+    l1 = ResultList(["https://u/1", "https://u/2"])
+    l2 = ResultList(["https://u/2", "https://u/1"])
     fused = wbf_merge([(l1, 2.0), (l2, 1.0)], cap=2)
     # u1: 2*2 + 1*1 = 5 ; u2: 2*1 + 1*2 = 4
     assert fused.entries == [("https://u/1", 5.0), ("https://u/2", 4.0)]
@@ -136,7 +133,7 @@ def test_merge_scaling_weights_preserves_order(rng):
     lists = []
     for e in range(6):
         picks = rng.sample(urls, rng.randint(5, 40))
-        lists.append((result_list(f"e{e}", "q", picks), rng.choice([0.5, 1.0, 4.0, 9.0])))
+        lists.append((ResultList(picks), rng.choice([0.5, 1.0, 4.0, 9.0])))
     base = wbf_merge(lists, cap=25)
     doubled = wbf_merge([(rl, w * 2) for rl, w in lists], cap=25)
     assert doubled.urls() == base.urls()
@@ -146,13 +143,13 @@ def test_merge_scaling_weights_preserves_order(rng):
 
 
 def test_merge_empty_list_changes_nothing():
-    rl = result_list("e", "q", ["https://u/1"])
-    empty = result_list("void", "q", [])
+    rl = ResultList(["https://u/1"])
+    empty = ResultList([])
     assert wbf_merge([(rl, 1.0)]) == wbf_merge([(rl, 1.0), (empty, 3.0)])
 
 
 def test_merge_all_empty_inputs():
-    fused = wbf_merge([(result_list("e", "q", []), 1.0)])
+    fused = wbf_merge([(ResultList([]), 1.0)])
     assert fused.entries == []
     assert fused.contributing_lists == 0
 
@@ -174,23 +171,29 @@ def test_merge_matches_score_table_oracle(rng):
     lists = []
     for e in range(6):
         picks = rng.sample(urls, 200)
-        lists.append((result_list(f"e{e}", "q", picks), rng.choice([1.0, 2.0, 4.5, 9.0])))
+        lists.append((ResultList(picks), rng.choice([1.0, 2.0, 4.5, 9.0])))
     fused = wbf_merge(lists, cap=200)
     assert fused.entries == brute_force_wbf(lists, 200)
 
 
 def test_merge_truncates_to_cap():
-    rl = result_list("e", "q", [f"https://u/{i}" for i in range(1, 11)])
+    rl = ResultList([f"https://u/{i}" for i in range(1, 11)])
     fused = wbf_merge([(rl, 1.0)], cap=3)
     assert len(fused.entries) == 3
     assert fused.urls() == ["https://u/1", "https://u/2", "https://u/3"]
 
 
 def test_fused_csv_format():
-    rl = result_list("e", "q", ["https://u/1", "https://u/2"])
+    rl = ResultList(["https://u/1", "https://u/2"])
     text = wbf_merge([(rl, 1.5)], cap=2).to_csv()
     assert text.splitlines()[0] == "rank,url,score"
     assert text.splitlines()[1] == "1,https://u/1,3"
+
+
+@pytest.mark.parametrize("url", ["https://x.org/p?a=1,2", 'https://x.org/p?q="a"'])
+def test_fused_csv_quotes_a_url_holding_a_delimiter_or_quote(url):
+    text = wbf_merge([(ResultList([url]), 1.0)], cap=1).to_csv()
+    assert list(csv.reader(io.StringIO(text))) == [["rank", "url", "score"], ["1", url, "1"]]
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +204,6 @@ def test_fixture_adapter_roundtrip(tmp_path):
     write_serp(tmp_path, "google", "some query", ["https://a/1", "https://b/2"])
     adapter = FixtureEngineAdapter(tmp_path)
     rl = adapter.search("google", "some query", 10)
-    assert rl.engine == "google"
     assert rl.urls == ["https://a/1", "https://b/2"]
 
 
@@ -296,16 +298,6 @@ def test_run_mse_requires_variant_for_weighted_source(tmp_path):
                 KnowledgeWeights(degree=1, closeness=1))
 
 
-def test_gold_variants_use_top_m_terms():
-    sources = [
-        RankedTermList("degree", ["ethanol", "addiction", "dmoz"]),
-        RankedTermList("wordnet", ["stripling"]),
-    ]
-    variants = gold_variants("adolescent and alcoholism", sources, m=2)
-    assert variants["degree"] == "adolescent alcoholism ethanol addiction"
-    assert variants["wordnet"] == "adolescent alcoholism stripling"
-
-
 def test_run_mse_bad_serp_url_drops_only_that_list(tmp_path):
     write_serp(tmp_path, "google", "q x", ["https://u/1", "https://u/2"])
     write_serp(tmp_path, "bing", "q x", ["https://u/3", "http://x.org:99999/p"])
@@ -324,22 +316,27 @@ FIXTURE_DICTS = {
 }
 
 
-def test_gold_source_lists_cover_weighted_sources_in_order():
+def test_gold_variants_cover_weighted_sources_in_order():
     table = fixture_table()
-    lists = gold_source_lists(table, "adolescent alcoholism", SIX_SOURCE_WEIGHTS, FIXTURE_DICTS)
-    assert [ranked.source for ranked in lists] == [
+    variants = gold_variants(table, "adolescent alcoholism", SIX_SOURCE_WEIGHTS, FIXTURE_DICTS)
+    assert list(variants) == [
         "degree", "closeness", "pagerank", "wordnet", "wikisynonyms", "moby",
     ]
     graph = source_term_lists(table, "adolescent alcoholism")
-    assert lists[:3] == list(graph.values())
-    for ranked in lists[3:]:
-        assert 0 < len(ranked.terms) <= GOLD_M
+    for source, ranked in graph.items():
+        assert variants[source] == rewrite("adolescent alcoholism", ranked.terms[:GOLD_M])
+    for source in ("wordnet", "wikisynonyms", "moby"):
+        ordering = "unranked" if source == "moby" else "ranked"
+        dictionary = SynonymDictionary.from_file(FIXTURE_DICTS[source], ordering=ordering)
+        terms = thesaurus_expand(dictionary, "adolescent alcoholism", GOLD_M).qe_terms
+        assert 0 < len(terms) <= GOLD_M
+        assert variants[source] == rewrite("adolescent alcoholism", terms)
 
 
-def test_gold_source_lists_skip_zero_weights_and_need_dictionaries():
+def test_gold_variants_skip_zero_weights_and_need_dictionaries():
     table = fixture_table()
     weights = KnowledgeWeights(closeness=1, moby=1)
-    lists = gold_source_lists(table, "adolescent alcoholism", weights, FIXTURE_DICTS)
-    assert [ranked.source for ranked in lists] == ["closeness", "moby"]
+    variants = gold_variants(table, "adolescent alcoholism", weights, FIXTURE_DICTS)
+    assert list(variants) == ["closeness", "moby"]
     with pytest.raises(FusionError, match="'moby' has weight > 0 but no dictionary"):
-        gold_source_lists(table, "adolescent alcoholism", weights, {})
+        gold_variants(table, "adolescent alcoholism", weights, {})

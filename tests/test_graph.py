@@ -2,13 +2,14 @@
 
 import random
 import re
+import urllib.parse
 from pathlib import Path
 
 import pytest
 
 from wikiqe import PageCache, RunConfig, WikiClient, WikiSource
 from wikiqe.config import benchmark_queries
-from wikiqe.graph import GraphError, OntologyGraph, normalize_title
+from wikiqe.graph import _FORBIDDEN, GraphError, OntologyGraph, normalize_title
 
 from conftest import bfs_hops, random_adjacency
 from reference_links import synthetic_wiki
@@ -59,6 +60,15 @@ def test_casefold_keeps_a_round_without_percent_final():
         if char in special or char.isspace():
             continue
         assert not any(out in special or out.isspace() for out in folded), hex(code)
+
+
+def test_pipe_is_the_one_reserved_character_a_normalized_title_keeps():
+    """What lets ``WikiClient.page`` test a normalized link for "|" alone:
+    every other reserved character is whitespace, which normalization
+    collapses, raw or percent-encoded."""
+    for char in _FORBIDDEN:
+        for raw in (f"a{char}b", "a" + urllib.parse.quote(char) + "b"):
+            assert _FORBIDDEN & set(normalize_title(raw)) <= {"|"}, repr(raw)
 
 
 # ---------------------------------------------------------------------------

@@ -61,11 +61,11 @@ def test_gold_does_not_load_metrics(tmp_path):
     assert "wikiqe.metrics" not in loaded
 
 
-def test_bench_does_not_load_fusion(tmp_path):
+def test_bench_loads_neither_fusion_nor_metrics(tmp_path):
     loaded = cli_loads(tmp_path, "bench", "--queries", str(FIXTURES / "queries.txt"),
                        "--config", CONFIG, "--out", str(tmp_path / "bench.csv"))
     assert "wikiqe.expand" in loaded
-    assert "wikiqe.fusion" not in loaded
+    assert not loaded & {"wikiqe.fusion", "wikiqe.metrics"}
 
 
 def test_eval_loads_only_cli_text_and_metrics(tmp_path):
@@ -80,7 +80,7 @@ def test_queries_loads_only_cli_and_text(tmp_path):
 
 
 def test_every_public_name_is_its_defining_modules_binding():
-    assert len(wikiqe.__all__) == len(set(wikiqe.__all__)) == 51
+    assert len(wikiqe.__all__) == len(set(wikiqe.__all__)) == 50
     assert set(wikiqe.__all__) <= set(dir(wikiqe))
     for name, module in wikiqe._EXPORTS.items():
         assert getattr(wikiqe, name) is getattr(importlib.import_module(f"wikiqe.{module}"), name)

@@ -609,6 +609,41 @@ def test_live_fetch_caches_and_second_call_skips_network(tmp_path):
     assert asdict(first) == asdict(second)
 
 
+def wiki_transport(pages, hits):
+    """A fake API: ``hits`` for every search, ``pages[title]`` (HTML) for a parse."""
+    def transport(params):
+        if params["action"] == "query":
+            return {"query": {"search": [{"title": title} for title in hits]}}
+        return parse_payload(pages[params["page"]])
+
+    return transport
+
+
+def test_live_crawl_drops_links_the_graph_rejects(tmp_path):
+    pages = {
+        "alcoholism": '<a href="/wiki/A%7CB">x</a><a href="/wiki/C|D">y</a>'
+                      '<a href="/wiki/Binge_drinking">binge</a>',
+        "binge drinking": '<a href="/wiki/Alcoholism">back</a><a href="/wiki/E%7cF">z</a>',
+    }
+    client = WikiClient(transport=wiki_transport(pages, ["Alcoholism"]), request_interval=0)
+    config = CrawlConfig(hop_bound=2)
+    live = WikiSource(PageCache(tmp_path), client).build_graph("alcoholism", config)
+    assert live.outlinks("alcoholism") == ["binge drinking"]
+    for name in files_under(tmp_path):
+        record = json.loads((tmp_path / name).read_text(encoding="utf-8"))
+        assert not [t for t in record.get("outlinks", record.get("results")) if "|" in t]
+    rerun = WikiSource(PageCache(tmp_path)).build_graph("alcoholism", config)
+    assert rerun.dumps() == live.dumps()
+
+
+def test_live_search_hit_the_graph_rejects_is_a_fetch_error_and_not_cached(tmp_path):
+    client = WikiClient(transport=wiki_transport({}, ["Binge", "A|B"]), request_interval=0)
+    source = WikiSource(PageCache(tmp_path), client)
+    with pytest.raises(FetchError, match=r"malformed search response for 'binge': .*'a\|b'"):
+        source.search("binge", 5)
+    assert not (tmp_path / "searches").exists()
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from wikiqe.metrics import (
     ndcg_at,
     precision_at,
     success_at,
-    timed,
 )
 
 
@@ -156,21 +155,6 @@ def test_kappa_symmetric_and_bounded():
         k_ba = cohens_kappa(b, a)
         assert k_ab == pytest.approx(k_ba, abs=1e-12)
         assert -1.0 - 1e-12 <= k_ab <= 1.0 + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# timing
-# ---------------------------------------------------------------------------
-
-def test_timed_noop_is_fast_and_passes_result_through():
-    result, seconds = timed(lambda: "done")
-    assert result == "done"
-    assert 0 <= seconds < 0.1
-
-
-def test_timed_forwards_arguments():
-    result, _ = timed(lambda a, b=0: a + b, 2, b=3)
-    assert result == 5
 
 
 # ---------------------------------------------------------------------------
