@@ -51,13 +51,11 @@ differ between interpreters before and after 3.12.
 
 from __future__ import annotations
 
-import csv
 import heapq
-import io
-from dataclasses import dataclass
 from math import frexp, isfinite, ldexp
 from operator import sub
 
+from ._value import FrozenValue, Value
 from .graph import ConceptSubgraph
 
 __all__ = [
@@ -71,13 +69,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PageRankParams:
-    damping: float = 0.85
-    tolerance: float = 1e-8  # L1 norm of the per-iteration change
-    max_iterations: int = 100
-
-    def __post_init__(self):
+class PageRankParams(FrozenValue):
+    def __init__(self, damping: float = 0.85, tolerance: float = 1e-8, max_iterations: int = 100):
+        # tolerance bounds the L1 norm of the per-iteration change
+        super().__init__(damping, tolerance, max_iterations)
         if not 0.0 < self.damping < 1.0:
             raise ValueError(f"damping must be in (0, 1), got {self.damping}")
         if self.tolerance <= 0.0:
@@ -86,15 +81,14 @@ class PageRankParams:
             raise ValueError("max_iterations must be >= 1")
 
 
-@dataclass
-class PageRankResult:
-    scores: dict[str, float]
-    converged: bool
-    iterations: int
+class PageRankResult(Value):
+    def __init__(self, scores: dict[str, float], converged: bool, iterations: int):
+        self.scores = scores
+        self.converged = converged
+        self.iterations = iterations
 
 
-@dataclass
-class CentralityTable:
+class CentralityTable(Value):
     """Per-node scores of the three centralities.
 
     A ranking is derived from its score map, not stored:
@@ -103,14 +97,19 @@ class CentralityTable:
     produce identical lists.
     """
 
-    degree: dict[str, int]
-    closeness: dict[str, float]
-    pagerank: dict[str, float]
-    pagerank_converged: bool = True
+    def __init__(self, degree: dict[str, int], closeness: dict[str, float],
+                 pagerank: dict[str, float], pagerank_converged: bool = True):
+        self.degree = degree
+        self.closeness = closeness
+        self.pagerank = pagerank
+        self.pagerank_converged = pagerank_converged
 
     def to_csv(self) -> str:
         """Dump as ``title,degree,closeness,pagerank`` rows (12 significant
         digits for the real-valued scores)."""
+        import csv  # here, not at the top: no CLI command dumps a table
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["title", "degree", "closeness", "pagerank"])

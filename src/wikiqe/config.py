@@ -12,9 +12,9 @@ expected int, got 'x'``.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
+from ._value import FrozenValue, Value, as_dict, fields
 from .centrality import PageRankParams
 from .expand import KNOWLEDGE_SOURCES
 from .ingest import CrawlConfig
@@ -35,28 +35,19 @@ __all__ = [
     "query_slug",
 ]
 
-@dataclass(frozen=True)
-class EngineConfig:
-    engine_id: str
-    confidence: int
-
-    def __post_init__(self):
+class EngineConfig(FrozenValue):
+    def __init__(self, engine_id: str, confidence: int):
+        super().__init__(engine_id, confidence)
         if self.confidence <= 0:
             raise ValueError(f"engine confidence must be > 0, got {self.confidence}")
 
 
-@dataclass(frozen=True)
-class KnowledgeWeights:
+class KnowledgeWeights(FrozenValue):
     """Per-source weights used when fusing expanded-query result lists."""
 
-    degree: int = 0
-    closeness: int = 0
-    pagerank: int = 0
-    wordnet: int = 0
-    wikisynonyms: int = 0
-    moby: int = 0
-
-    def __post_init__(self):
+    def __init__(self, degree: int = 0, closeness: int = 0, pagerank: int = 0,
+                 wordnet: int = 0, wikisynonyms: int = 0, moby: int = 0):
+        super().__init__(degree, closeness, pagerank, wordnet, wikisynonyms, moby)
         values = self.as_map().values()
         if any(w < 0 for w in values):
             raise ValueError("knowledge weights must be >= 0")
@@ -110,31 +101,46 @@ def _object(value, where: str, keys=None) -> dict:
 
 
 def _section(cls, data, where: str):
-    """Build the dataclass ``cls`` from a JSON object, checking every key."""
-    known = {f.name: f for f in fields(cls)}
-    for key, value in _object(data, where, known).items():
-        _check(value, known[key].type, f"{where}.{key}")
-    for name, f in known.items():
-        if name not in data and f.default is MISSING:
+    """Build the value type ``cls`` from a JSON object: its keys are the
+    parameters of ``cls.__init__``, each of the JSON type its annotation
+    names, and those without a default are required."""
+    init = cls.__init__
+    names = fields(cls)
+    for key, value in _object(data, where, names).items():
+        _check(value, init.__annotations__[key], f"{where}.{key}")
+    for name in names[:len(names) - len(init.__defaults__ or ())]:
+        if name not in data:
             raise ConfigError(f"{where}.{name}: missing")
     try:
         return cls(**data)
-    except ValueError as exc:  # a range check in __post_init__
+    except ValueError as exc:  # a range check in __init__
         raise ConfigError(f"{where}: {exc}") from None
 
 
-@dataclass
-class RunConfig:
-    crawl: CrawlConfig = field(default_factory=CrawlConfig)
-    pagerank: PageRankParams = field(default_factory=PageRankParams)
-    weights: KnowledgeWeights = SIX_SOURCE_WEIGHTS
-    engines: list[EngineConfig] = field(default_factory=lambda: list(DEFAULT_ENGINES))
-    snapshot_dir: Path | None = None
-    serp_dir: Path | None = None
-    dictionaries: dict[str, Path] = field(default_factory=dict)
-    stopwords_path: Path | None = None
-    output_dir: Path = Path("out")
-    seed: int = 0
+class RunConfig(Value):
+    def __init__(
+        self,
+        crawl: CrawlConfig = CrawlConfig(),
+        pagerank: PageRankParams = PageRankParams(),
+        weights: KnowledgeWeights = SIX_SOURCE_WEIGHTS,
+        engines: list[EngineConfig] | None = None,  # None: a copy of DEFAULT_ENGINES
+        snapshot_dir: Path | None = None,
+        serp_dir: Path | None = None,
+        dictionaries: dict[str, Path] | None = None,  # None: a new empty dict
+        stopwords_path: Path | None = None,
+        output_dir: Path = Path("out"),
+        seed: int = 0,
+    ):
+        self.crawl = crawl
+        self.pagerank = pagerank
+        self.weights = weights
+        self.engines = list(DEFAULT_ENGINES) if engines is None else engines
+        self.snapshot_dir = snapshot_dir
+        self.serp_dir = serp_dir
+        self.dictionaries = {} if dictionaries is None else dictionaries
+        self.stopwords_path = stopwords_path
+        self.output_dir = output_dir
+        self.seed = seed
 
     def apply_preset(self, name: str) -> None:
         if name == "paper":
@@ -150,8 +156,8 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return {
-            "crawl": asdict(self.crawl),
-            "pagerank": asdict(self.pagerank),
+            "crawl": as_dict(self.crawl),
+            "pagerank": as_dict(self.pagerank),
             "weights": self.weights.as_map(),
             "engines": [
                 {"engine_id": e.engine_id, "confidence": e.confidence} for e in self.engines
@@ -210,6 +216,10 @@ class RunConfig:
             return cls.from_dict(json.loads(path.read_text(encoding="utf-8")), base=path.parent)
         except ValueError as exc:  # bad JSON, text that is not UTF-8, or a ConfigError
             raise ConfigError(f"{path}: {exc}") from None
+        except FileNotFoundError as exc:  # the config file, or a path it names
+            if exc.filename is not None:  # the config file: the OS error names it
+                raise
+            raise FileNotFoundError(f"{path}: {exc}") from None
 
     def validate_paths(self) -> None:
         """Input paths must exist when configured (output_dir is created)."""

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
+from ._value import Value
 from .centrality import CentralityTable, ranked_prefix
 from .text import _read_text, content_tokens, default_stopwords, query_terms, tokenize
 
@@ -43,32 +43,31 @@ KNOWLEDGE_SOURCES = GRAPH_SOURCES + THESAURUS_SOURCES
 _PARENTHETICAL = re.compile(r"\s*\([^()]*\)\s*$")
 
 
-@dataclass
-class RankedTermList:
+class RankedTermList(Value):
     """An ordered candidate-term list from one knowledge source."""
 
-    source: str
-    terms: list[str]
-
-    def __post_init__(self):
+    def __init__(self, source: str, terms: list[str]):
+        self.source = source
+        self.terms = terms
         if self.source not in KNOWLEDGE_SOURCES:
             raise ValueError(f"unknown knowledge source: {self.source!r}")
         if len(set(self.terms)) != len(self.terms):
             raise ValueError(f"duplicate terms in {self.source} list")
 
 
-@dataclass
-class ExpansionResult:
+class ExpansionResult(Value):
     """Final QE terms for one query, with how each term was chosen.
 
     ``shortfall`` is set when fewer than the requested number of terms
     survived filtering; ``qe_terms`` then holds all survivors.
     """
 
-    qe_terms: list[str]
-    borda_scores: dict[str, int] = field(default_factory=dict)
-    provenance: dict[str, list[str]] = field(default_factory=dict)
-    shortfall: bool = False
+    def __init__(self, qe_terms: list[str], borda_scores: dict[str, int] | None = None,
+                 provenance: dict[str, list[str]] | None = None, shortfall: bool = False):
+        self.qe_terms = qe_terms
+        self.borda_scores = {} if borda_scores is None else borda_scores
+        self.provenance = {} if provenance is None else provenance
+        self.shortfall = shortfall
 
 
 class SynonymDictionary:

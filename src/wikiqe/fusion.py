@@ -19,9 +19,9 @@ import hashlib
 import io
 import json
 import urllib.parse
-from dataclasses import dataclass, field
 from pathlib import Path
 
+from ._value import Value
 from .centrality import CentralityTable
 from .config import (
     DEFAULT_ENGINES,
@@ -91,8 +91,7 @@ def normalize_url(url: str) -> str:
 GOLD_M = 10  # QE terms per knowledge source when generating the gold standard
 
 
-@dataclass
-class ResultList:
+class ResultList(Value):
     """One engine's ranked results for one query: a URL's rank is its
     1-based position in ``urls``.
 
@@ -100,9 +99,8 @@ class ResultList:
     arbitrary SERP URLs.
     """
 
-    urls: list[str]
-
-    def __post_init__(self):
+    def __init__(self, urls: list[str]):
+        self.urls = urls
         seen = set()
         for url in self.urls:
             if url in seen:
@@ -116,12 +114,12 @@ class ResultList:
         return cls(list(dict.fromkeys(map(normalize_url, urls))))
 
 
-@dataclass
-class FusedList:
+class FusedList(Value):
     """Merged ranking: (url, fused score) sorted by score descending."""
 
-    entries: list[tuple[str, float]]
-    contributing_lists: int = 0
+    def __init__(self, entries: list[tuple[str, float]], contributing_lists: int = 0):
+        self.entries = entries
+        self.contributing_lists = contributing_lists
 
     def urls(self) -> list[str]:
         return [url for url, _ in self.entries]
@@ -212,10 +210,10 @@ class FixtureEngineAdapter:
 # metasearch runs
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MseResult:
-    fused: FusedList
-    failures: list[str] = field(default_factory=list)
+class MseResult(Value):
+    def __init__(self, fused: FusedList, failures: list[str] | None = None):
+        self.fused = fused
+        self.failures = [] if failures is None else failures
 
 
 def run_mse(

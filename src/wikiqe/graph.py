@@ -11,8 +11,9 @@ threads; construction is single-writer.
 from __future__ import annotations
 
 import urllib.parse
-from dataclasses import dataclass, field
 from operator import attrgetter
+
+from ._value import Value
 
 __all__ = [
     "GraphError",
@@ -58,8 +59,7 @@ def normalize_title(title: str) -> str:
     return text
 
 
-@dataclass
-class ConceptSubgraph:
+class ConceptSubgraph(Value):
     """Reachability closure of one root inside a parent graph.
 
     ``nodes`` are listed in breadth-first discovery order (deterministic for
@@ -70,9 +70,13 @@ class ConceptSubgraph:
     quantity that ranks candidate concepts against each other.
     """
 
-    root: str
-    nodes: tuple[str, ...]
-    targets: tuple[tuple[int, ...], ...] = field(repr=False)
+    def __init__(self, root: str, nodes: tuple[str, ...], targets: tuple[tuple[int, ...], ...]):
+        self.root = root
+        self.nodes = nodes
+        self.targets = targets
+
+    def __repr__(self) -> str:  # targets left out: they restate the edges as positions
+        return f"ConceptSubgraph(root={self.root!r}, nodes={self.nodes!r})"
 
     @property
     def graph_degree(self) -> int:

@@ -35,15 +35,13 @@ import hashlib
 import json
 import os
 import re
-import secrets
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, replace
-from html import unescape
 from itertools import repeat
 from pathlib import Path
 
+from ._value import FrozenValue, Value, as_dict
 from .graph import GraphError, OntologyGraph, normalize_title
 from .text import default_stopwords, query_terms
 
@@ -85,37 +83,40 @@ class FetchError(IngestError):
     """Network failure after bounded retries; safe to retry later."""
 
 
-@dataclass(frozen=True)
-class CrawlConfig:
-    hop_bound: int = 3
-    max_links_per_page: int = 100
-    max_total_nodes: int = 10_000  # soft: passed by up to max_links_per_page - 1
-    request_interval: float = 0.5  # seconds between outbound requests
-    candidate_count: int = 5
-
-    def __post_init__(self):
+class CrawlConfig(FrozenValue):
+    def __init__(self, hop_bound: int = 3, max_links_per_page: int = 100,
+                 max_total_nodes: int = 10_000, request_interval: float = 0.5,
+                 candidate_count: int = 5):
+        # max_total_nodes is soft: passed by up to max_links_per_page - 1;
+        # request_interval is in seconds between outbound requests.
+        super().__init__(hop_bound, max_links_per_page, max_total_nodes, request_interval,
+                         candidate_count)
         if self.hop_bound < 1:
             raise ValueError("hop_bound must be >= 1")
         for name in ("max_links_per_page", "max_total_nodes", "candidate_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.request_interval < 0:
+            raise ValueError(f"request_interval must be >= 0, got {self.request_interval}")
 
 
-@dataclass
-class PageRecord:
+class PageRecord(Value):
     """One article's harvested outlinks, in the order they appear on the page."""
 
-    title: str
-    outlinks: list[str]
-    fetched_at: float
-    source: str  # "live" or "snapshot"
-    missing: bool = False
-    disambiguation: bool = False
+    def __init__(self, title: str, outlinks: list[str], fetched_at: float, source: str,
+                 missing: bool = False, disambiguation: bool = False):
+        self.title = title
+        self.outlinks = outlinks
+        self.fetched_at = fetched_at
+        self.source = source  # "live" or "snapshot"
+        self.missing = missing
+        self.disambiguation = disambiguation
 
     def truncated(self, limit: int) -> "PageRecord":
         if len(self.outlinks) <= limit:
             return self
-        return replace(self, outlinks=self.outlinks[:limit])
+        return PageRecord(self.title, self.outlinks[:limit], self.fetched_at, self.source,
+                          self.missing, self.disambiguation)
 
 
 def search_key(user_query: str) -> str:
@@ -161,7 +162,7 @@ def _hashed(name: str) -> str:
 
 def _write_atomic(path: str, payload: dict) -> None:
     text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=1)
-    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"  # secrets.token_hex(8), without its import
     # Mode "x" creates the temp file exclusively, with the umask-derived
     # permissions a plain write would give (mkstemp would make it 0600).
     try:
@@ -194,15 +195,7 @@ class PageCache:
         return self._read("pages", "title", title, lambda data: PageRecord(**data))
 
     def put_page(self, record: PageRecord) -> None:
-        # The fields by hand: dataclasses.asdict would deep-copy the outlinks.
-        _write_atomic(self._path("pages", record.title), {
-            "title": record.title,
-            "outlinks": record.outlinks,
-            "fetched_at": record.fetched_at,
-            "source": record.source,
-            "missing": record.missing,
-            "disambiguation": record.disambiguation,
-        })
+        _write_atomic(self._path("pages", record.title), as_dict(record))
 
     def get_search(self, query: str) -> list[str] | None:
         return self._read("searches", "query", query, lambda data: list(data["results"]))
@@ -272,6 +265,8 @@ def _article_links(html: str) -> list[str]:
     tag wins. Like a tokenizer fed the page and never closed, the scan stops
     at a start tag, comment or raw-text body that does not end.
     """
+    from html import unescape  # here: a snapshot run scans no HTML
+
     links: dict[str, None] = {}
     pos = 0
     while match := _MARKUP.search(html, pos):

@@ -10,9 +10,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
+from ._value import Value
 from .text import _read_text
 
 __all__ = [
@@ -181,15 +181,15 @@ def csv_table(reports: list[EvalReport]) -> str:
     return buf.getvalue()
 
 
-@dataclass
-class EvalReport:
+class EvalReport(Value):
     """Metric values for one method across a query set.
 
     ``values[query][(metric, cutoff)]`` holds P/S/NDCG scores.
     """
 
-    method: str
-    values: dict[str, dict[tuple[str, int], float]] = field(default_factory=dict)
+    def __init__(self, method: str, values: dict[str, dict[tuple[str, int], float]] | None = None):
+        self.method = method
+        self.values = {} if values is None else values
 
     def record(self, query: str, metric: str, cutoff: int, value: float) -> None:
         self.values.setdefault(query, {})[(metric, cutoff)] = value

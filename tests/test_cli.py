@@ -720,6 +720,17 @@ def test_config_rejects_missing_paths(tmp_path):
         config.validate_paths()
 
 
+def test_a_configured_path_that_does_not_exist_is_an_error_naming_the_config(tmp_path, capsys):
+    missing = tmp_path / "no-serps"
+    bad = fixture_config_copy(tmp_path, lambda data: data["paths"].update(serp_dir=str(missing)))
+    code, out, err = run_cli(capsys, "expand", QUERY, "--config", bad, "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {bad}: configured path serp_dir does not exist: {missing}\n"
+    code, _, err = run_cli(capsys, "expand", QUERY, "--config", str(missing), "--out", str(tmp_path))
+    assert code == 1 and err.startswith("error: [Errno 2] No such file or directory: ")
+    assert str(missing) in err and f"{missing}: " not in err
+
+
 def test_fixture_config_loads():
     config = RunConfig.load(CONFIG)
     assert config.snapshot_dir and config.snapshot_dir.exists()
@@ -735,8 +746,12 @@ def test_fixture_config_loads():
     ({"weights": {"degree": "a"}}, "weights.degree: expected int, got 'a'"),
     ({"crawll": {"hop_bound": 1}}, "crawll: unknown key"),
     ({"paths": {"snapshot": "snapshot"}}, "paths.snapshot: unknown key"),
+    ({"crawl": {"request_interval": float("nan")}}, "crawl: request_interval must be finite, got nan"),
+    ({"crawl": {"request_interval": -5}}, "crawl: request_interval must be >= 0, got -5"),
+    ({"pagerank": {"tolerance": float("inf")}}, "pagerank: tolerance must be finite, got inf"),
 ], ids=["wrong-type", "section-not-object", "top-level-list", "engine-without-confidence",
-        "weight-not-int", "misspelt-section", "misspelt-path"])
+        "weight-not-int", "misspelt-section", "misspelt-path", "nan-interval", "negative-interval",
+        "infinite-tolerance"])
 def test_malformed_config_names_file_and_key_without_traceback(tmp_path, capsys, config, message):
     bad = tmp_path / "config.json"
     bad.write_text(json.dumps(config))

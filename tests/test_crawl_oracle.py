@@ -14,7 +14,7 @@ every SyntheticWiki variant the crawl-synthetic benchmark serves.
 
 import tempfile
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
 
@@ -235,5 +235,6 @@ def test_synthetic_wikis_exercise_every_rule():
     assert any(title not in plain.links for title in fetched)
     assert set(fetched) & plain.disambiguation
     capped = reference_crawl(plain, query, small)[0].count("\n")
-    uncapped = reference_crawl(plain, query, replace(small, max_total_nodes=10**4))[0].count("\n")
+    uncapped = reference_crawl(plain, query, CrawlConfig(
+        hop_bound=2, max_links_per_page=7, max_total_nodes=10**4, candidate_count=3))[0].count("\n")
     assert small.max_total_nodes <= capped < uncapped

@@ -1,6 +1,8 @@
 """Import boundaries: ``import wikiqe`` loads no submodule, each CLI command
-loads only the modules its flow runs, and the package's lazy names resolve
-to the bindings of their defining modules on every access."""
+loads only the modules its flow runs (no command loads ``dataclasses``, and
+a snapshot ``expand`` none of the standard modules only a live crawl or a
+CSV writer needs), and the package's lazy names resolve to the bindings of
+their defining modules on every access."""
 
 import ast
 import importlib
@@ -20,8 +22,8 @@ QUERY = "adolescent alcoholism"
 
 
 def loaded_after(tmp_path, code):
-    """The ``wikiqe`` modules a fresh interpreter holds after running ``code``."""
-    script = code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('wikiqe')))\n"
+    """The modules a fresh interpreter holds after running ``code``."""
+    script = code + "\nimport sys\nprint(sorted(sys.modules))\n"
     pythonpath = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, timeout=60,
@@ -29,6 +31,10 @@ def loaded_after(tmp_path, code):
     )
     assert done.returncode == 0, done.stderr
     return set(ast.literal_eval(done.stdout.splitlines()[-1]))
+
+
+def ours(modules):
+    return {name for name in modules if name.startswith("wikiqe")}
 
 
 def cli_loads(tmp_path, *argv):
@@ -46,37 +52,55 @@ def eval_dirs(tmp_path):
 
 
 def test_import_wikiqe_loads_no_submodule(tmp_path):
-    assert loaded_after(tmp_path, "import wikiqe") == {"wikiqe"}
+    assert ours(loaded_after(tmp_path, "import wikiqe")) == {"wikiqe"}
 
 
 def test_expand_loads_neither_fusion_nor_metrics(tmp_path):
     loaded = cli_loads(tmp_path, "expand", QUERY, "--config", CONFIG, "--out", str(tmp_path))
     assert "wikiqe.expand" in loaded
     assert not loaded & {"wikiqe.fusion", "wikiqe.metrics"}
+    # html and secrets serve only a live crawl, csv only a table or CSV dump
+    assert not loaded & {"dataclasses", "html", "secrets", "csv"}
 
 
 def test_gold_does_not_load_metrics(tmp_path):
     loaded = cli_loads(tmp_path, "gold", QUERY, "--config", CONFIG, "--out", str(tmp_path))
     assert "wikiqe.fusion" in loaded
-    assert "wikiqe.metrics" not in loaded
+    assert not loaded & {"wikiqe.metrics", "dataclasses"}
 
 
 def test_bench_loads_neither_fusion_nor_metrics(tmp_path):
     loaded = cli_loads(tmp_path, "bench", "--queries", str(FIXTURES / "queries.txt"),
                        "--config", CONFIG, "--out", str(tmp_path / "bench.csv"))
     assert "wikiqe.expand" in loaded
-    assert not loaded & {"wikiqe.fusion", "wikiqe.metrics"}
+    assert not loaded & {"wikiqe.fusion", "wikiqe.metrics", "dataclasses"}
 
 
 def test_eval_loads_only_cli_text_and_metrics(tmp_path):
     runs, gold = eval_dirs(tmp_path)
     loaded = cli_loads(tmp_path, "eval", "--runs", str(runs), "--gold", str(gold),
                        "--out", str(tmp_path / "eval.csv"))
-    assert loaded == {"wikiqe", "wikiqe.cli", "wikiqe.text", "wikiqe.metrics"}
+    # _value: the field-wise == and repr of EvalReport
+    assert ours(loaded) == {"wikiqe", "wikiqe.cli", "wikiqe.text", "wikiqe._value", "wikiqe.metrics"}
+    assert "dataclasses" not in loaded
 
 
 def test_queries_loads_only_cli_and_text(tmp_path):
-    assert cli_loads(tmp_path, "queries") == {"wikiqe", "wikiqe.cli", "wikiqe.text"}
+    loaded = cli_loads(tmp_path, "queries")
+    assert ours(loaded) == {"wikiqe", "wikiqe.cli", "wikiqe.text"}
+    assert "dataclasses" not in loaded
+
+
+def test_no_module_of_the_package_imports_dataclasses():
+    for path in sorted((ROOT / "src" / "wikiqe").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in [name.split(".")[0] for name in names], path.name
 
 
 def test_every_public_name_is_its_defining_modules_binding():

@@ -1,7 +1,6 @@
 """Snapshot/cache behavior, the live client (stubbed transport), graph build."""
 
 import json
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -55,12 +54,19 @@ class FakeClock:
 # cache
 # ---------------------------------------------------------------------------
 
+def record_fields(record):
+    """The six fields of a page record, as its cache file holds them."""
+    return {"title": record.title, "outlinks": record.outlinks, "fetched_at": record.fetched_at,
+            "source": record.source, "missing": record.missing,
+            "disambiguation": record.disambiguation}
+
+
 def test_cache_page_round_trip(tmp_path):
     cache = PageCache(tmp_path)
     record = PageRecord("ethanol", ["alcohol (drug)"], 7.0, "live")
     cache.put_page(record)
     reloaded = PageCache(tmp_path)  # a fresh cache object reads from disk
-    assert asdict(reloaded.get_page("ethanol")) == asdict(record)
+    assert record_fields(reloaded.get_page("ethanol")) == record_fields(record)
     assert reloaded.get_page("unknown") is None
 
 
@@ -70,10 +76,10 @@ def test_cache_page_round_trip(tmp_path):
     PageRecord("mercury", ["mercury (planet)", "mercury (element)"], 0.0, "snapshot",
                disambiguation=True),
 ], ids=["links", "missing", "disambiguation"])
-def test_cache_page_bytes_are_the_dataclass_json(tmp_path, record):
+def test_cache_page_bytes_are_the_record_json(tmp_path, record):
     PageCache(tmp_path).put_page(record)
     written = (tmp_path / "pages" / hashed_name(record.title)).read_bytes()
-    expected = json.dumps(asdict(record), ensure_ascii=False, sort_keys=True, indent=1)
+    expected = json.dumps(record_fields(record), ensure_ascii=False, sort_keys=True, indent=1)
     assert written == expected.encode("utf-8")
 
 
@@ -128,7 +134,7 @@ def test_cache_failed_write_leaves_no_temp_file(tmp_path):
     pytest.param(b'{"title": "ethanol", "outlinks": ["a"', "malformed cache record", id="truncated"),
     pytest.param(b'{"title": "ethanol\xff"}', "malformed cache record", id="not-utf8"),
     pytest.param(b'["ethanol"]', "does not hold the title 'ethanol'", id="not-an-object"),
-    pytest.param(json.dumps(asdict(PageRecord("methanol", [], 0.0, "live"))).encode(),
+    pytest.param(json.dumps(record_fields(PageRecord("methanol", [], 0.0, "live"))).encode(),
                  "does not hold the title 'ethanol'", id="other-title"),
     pytest.param(b'{"title": "ethanol"}', "malformed cache record", id="missing-fields"),
 ])
@@ -194,7 +200,7 @@ def test_every_fixture_record_resolves_through_its_hashed_path():
     for path in pages:
         stored = json.loads(path.read_text(encoding="utf-8"))
         assert path.name == hashed_name(stored["title"])
-        assert asdict(cache.get_page(stored["title"])) == stored
+        assert record_fields(cache.get_page(stored["title"])) == stored
     for path in searches:
         stored = json.loads(path.read_text(encoding="utf-8"))
         assert path.name == hashed_name(stored["query"])
@@ -606,7 +612,7 @@ def test_live_fetch_caches_and_second_call_skips_network(tmp_path):
     assert source.network_calls == 1
     second = source.fetch_page("alcoholism", config)
     assert source.network_calls == 1
-    assert asdict(first) == asdict(second)
+    assert record_fields(first) == record_fields(second)
 
 
 def wiki_transport(pages, hits):
