@@ -230,11 +230,8 @@ def cmd_bench(args) -> int:
     if args.m < 1:
         raise ValueError(f"m must be >= 1, got {args.m}")
     config = _configure(args)
-    queries = [
-        line.strip()
-        for line in _read_text(args.queries).splitlines()
-        if line.strip() and not line.startswith("#")
-    ]
+    lines = (line.strip() for line in _read_text(args.queries).splitlines())
+    queries = [line for line in lines if line and not line.startswith("#")]
     stopwords = _stopwords(config)
     source = _source(config)
 

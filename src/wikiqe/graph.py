@@ -2,8 +2,8 @@
 
 Nodes are normalized article titles annotated with their hop: the
 breadth-first distance from the nearest root concept. Edges are the article
-hyperlinks. ``add_page`` takes pages in breadth-first order and ``loads``
-takes records under the same hop rule, so no hop is repaired afterwards.
+hyperlinks. ``add_page`` takes pages in breadth-first order, so no hop is
+repaired afterwards. ``dumps`` writes the graph out, one line per node.
 A completed graph is treated as immutable and can be shared freely across
 threads; construction is single-writer.
 """
@@ -137,22 +137,16 @@ class OntologyGraph:
             raise GraphError(f"page {page!r} is not a node at hop {hop}")
         if hop >= self.hop_bound and outlinks:
             raise GraphError(f"page {page!r} at hop {hop} must be a leaf (bound {self.hop_bound})")
-        return self._link(page, outlinks)
-
-    def _link(self, page: str, outlinks: list[str], line_of: dict[str, int] | None = None) -> list[str]:
         # The hop rule: a link reaches at most one hop past its page, and a
         # new node lands exactly there, so a graph built under it keeps each
         # hop equal to the breadth-first distance from the roots. Every
         # target is checked before the first change.
-        limit = self._hops[page] + 1
+        limit = hop + 1
         for target in outlinks:
             self._check_title(target)
             known = self._hops.get(target, limit)
             if known > limit:
-                where = f"line {line_of[target]}: " if line_of else ""
-                raise GraphError(
-                    f"{where}{target!r} at hop {known}, but {page!r} at hop {limit - 1} links to it"
-                )
+                raise GraphError(f"{target!r} at hop {known}, but {page!r} at hop {hop} links to it")
         links = self._adjacency[page]
         added = []
         for target in outlinks:
@@ -186,9 +180,6 @@ class OntologyGraph:
 
     def outlinks(self, title: str) -> list[str]:
         return list(self._adjacency.get(title, ()))
-
-    def __contains__(self, title: str) -> bool:
-        return title in self._hops
 
     def isolate_subgraph(self, root: str) -> ConceptSubgraph:
         """Return the directed-reachability closure from ``root``.
@@ -228,68 +219,3 @@ class OntologyGraph:
             links = "|".join(self._adjacency[title])
             lines.append(f"{title}\t{hop}\t{links}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def loads(cls, text: str, hop_bound: int | None = None) -> "OntologyGraph":
-        """Rebuild a graph from its serialized form (bit-exact round-trip).
-
-        Nodes keep file order; roots are the hop-0 records. ``hop_bound``
-        defaults to the largest hop present, plus one when a page at that hop
-        has links: the least bound under which ``add_page`` builds the graph,
-        so every crawl's dump loads. Every hop must be the breadth-first
-        distance from the roots: raises GraphError naming the line for a
-        malformed record, a negative hop or one past ``hop_bound``, links from
-        a page at ``hop_bound``, a bad or duplicate title, a link to a title
-        with no record, a link that breaks the hop rule of ``add_page``, and a
-        non-root record that no page one hop closer links to (a short hop or
-        an unreachable page).
-        """
-        records: list[tuple[int, str, int, list[str]]] = []
-        line_of: dict[str, int] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise GraphError(f"line {lineno}: expected 3 tab-separated fields")
-            title, hop_text, links = parts
-            try:
-                hop = int(hop_text)
-                cls._check_title(title)
-            except ValueError:
-                raise GraphError(f"line {lineno}: bad hop {hop_text!r}") from None
-            except GraphError as exc:
-                raise GraphError(f"line {lineno}: {exc}") from None
-            if hop < 0:
-                raise GraphError(f"line {lineno}: negative hop {hop}")
-            if hop_bound is not None and hop > hop_bound:
-                raise GraphError(f"line {lineno}: hop {hop} exceeds bound {hop_bound}")
-            if hop == hop_bound and links:
-                raise GraphError(
-                    f"line {lineno}: page {title!r} at hop {hop} must be a leaf (bound {hop_bound})"
-                )
-            if title in line_of:
-                raise GraphError(f"line {lineno}: duplicate record for {title!r} (line {line_of[title]})")
-            line_of[title] = lineno
-            records.append((lineno, title, hop, links.split("|") if links else []))
-        if not records:
-            raise GraphError("empty graph serialization")
-        if hop_bound is None:
-            top = max(hop for _, _, hop, _ in records)
-            hop_bound = max(1, top + any(links for _, _, hop, links in records if hop == top))
-        graph = cls([title for _, title, hop, _ in records if hop == 0], hop_bound=hop_bound)
-        graph._hops = {title: hop for _, title, hop, _ in records}
-        graph._adjacency = {title: [] for title in graph._hops}
-        parented = set()  # the titles a page one hop closer links to
-        for lineno, title, hop, outlinks in records:
-            for target in outlinks:
-                if target not in line_of:
-                    raise GraphError(f"line {lineno}: link to {target!r}, which has no record")
-            graph._link(title, outlinks, line_of)
-            parented.update(t for t in outlinks if graph._hops[t] == hop + 1)
-        for lineno, title, hop, _ in records:
-            if hop and title not in parented:
-                raise GraphError(
-                    f"line {lineno}: {title!r} at hop {hop}, but no page at hop {hop - 1} links to it"
-                )
-        return graph

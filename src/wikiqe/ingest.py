@@ -39,6 +39,7 @@ import threading
 import time
 from collections import deque
 from itertools import repeat
+from math import isfinite
 from pathlib import Path
 
 from ._value import FrozenValue, Value, as_dict
@@ -96,8 +97,7 @@ class CrawlConfig(FrozenValue):
         for name in ("max_links_per_page", "max_total_nodes", "candidate_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.request_interval < 0:
-            raise ValueError(f"request_interval must be >= 0, got {self.request_interval}")
+        _check_interval(self.request_interval)
 
 
 class PageRecord(Value):
@@ -314,11 +314,19 @@ def _article_links(html: str) -> list[str]:
     return list(links)
 
 
+def _check_interval(interval: float) -> None:
+    if isinstance(interval, float) and not isfinite(interval):
+        raise ValueError(f"request_interval must be finite, got {interval}")
+    if interval < 0:
+        raise ValueError(f"request_interval must be >= 0, got {interval}")
+
+
 class _Pacer:
     """Global request pacing: at most one request per interval, even when
     callers fetch concurrently."""
 
     def __init__(self, interval: float, clock=time.monotonic, sleep=time.sleep):
+        _check_interval(interval)  # CrawlConfig's rule: a NaN interval would never sleep
         self.interval = interval
         self._clock = clock
         self._sleep = sleep

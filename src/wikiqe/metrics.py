@@ -114,13 +114,17 @@ class JudgmentSet:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "JudgmentSet":
-        """Load ``query,url,judge,grade`` rows; bad grades name their line."""
+        """Load ``query,url,judge,grade`` rows; bad grades and unparsable lines name their line."""
         grades: dict[tuple[str, str], dict[str, int]] = {}
         reader = csv.DictReader(io.StringIO(_read_text(path, newline=""), newline=""))
+        try:
+            header, rows = reader.fieldnames, list(reader)
+        except csv.Error as exc:  # not a ValueError, so main would not report it
+            raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from None
         required = {"query", "url", "judge", "grade"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        if header is None or not required.issubset(header):
             raise ValueError(f"{path}: header must contain {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(rows, start=2):
             try:
                 grade = int(row["grade"])
             except (TypeError, ValueError):

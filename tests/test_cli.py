@@ -379,6 +379,21 @@ def test_eval_malformed_judgments_error_names_line(tmp_path, capsys):
     assert ":2" in err
 
 
+@pytest.mark.parametrize("text, line", [
+    ("query,url,judge,grade\nq,https://u/" + "x" * 200_000 + ",j1,2\n", 2),
+    ("query,url,judge,grade," + "x" * 200_000 + "\nq,https://u/1,j1,2\n", 1),
+], ids=["row", "header"])
+def test_eval_judgments_field_over_the_csv_limit_error_names_line(tmp_path, capsys, text, line):
+    runs, gold_dir = make_eval_dirs(tmp_path, ["https://u/1"], ["https://u/1"])
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    code, out, err = run_cli(
+        capsys, "eval", "--runs", str(runs), "--gold", str(gold_dir), "--judgments", str(bad)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {bad}:{line}: field larger than field limit")
+
+
 def test_eval_writes_out_file(tmp_path, capsys):
     urls = ["https://u/1"]
     runs, gold_dir = make_eval_dirs(tmp_path, urls, urls)
@@ -449,6 +464,14 @@ def test_bench_empty_queries_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "bench", "--queries", str(empty), "--config", CONFIG)
     assert code == 0
     assert out == "query,qe_seconds,qe_terms\n"
+
+
+def test_bench_skips_comment_lines_after_leading_blanks(tmp_path, capsys):
+    queries = tmp_path / "queries.txt"
+    queries.write_text("# note\n  # indented note\n\t# tabbed note\nadolescent alcoholism\n")
+    code, out, err = run_cli(capsys, "bench", "--queries", str(queries), "--config", CONFIG)
+    assert (code, err) == (0, "")
+    assert [line.split(",")[0] for line in out.splitlines()] == ["query", QUERY]
 
 
 def test_bench_skips_missing_fixture_and_continues(tmp_path, capsys):

@@ -604,6 +604,25 @@ def test_request_pacing_with_mock_clock():
     assert all(gap >= 0.5 - 1e-9 for gap in gaps)
 
 
+@pytest.mark.parametrize("interval, message", [
+    (float("nan"), "request_interval must be finite, got nan"),
+    (float("inf"), "request_interval must be finite, got inf"),
+    (-5, "request_interval must be >= 0, got -5"),
+], ids=["nan", "inf", "negative"])
+def test_client_takes_a_request_interval_under_the_crawl_config_rule(
+    tmp_path, monkeypatch, interval, message
+):
+    # A NaN interval used to construct, and the pacer then never slept.
+    monkeypatch.delenv(SNAPSHOT_ENV, raising=False)
+    for build in (
+        lambda: CrawlConfig(request_interval=interval),
+        lambda: WikiClient(request_interval=interval),
+        lambda: WikiSource.from_env(cache_dir=tmp_path, request_interval=interval),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+
 def test_live_fetch_caches_and_second_call_skips_network(tmp_path):
     client = WikiClient(transport=lambda params: parse_payload(), request_interval=0)
     source = WikiSource(PageCache(tmp_path), client)
