@@ -36,8 +36,9 @@ _EXPORTS = {
         ),
         "ingest": (
             "CrawlConfig", "FetchError", "IngestError", "NoConceptError", "PageCache",
-            "PageRecord", "WikiClient", "WikiSource",
+            "PageRecord", "WikiSource",
         ),
+        "_live": ("WikiClient",),
         "metrics": (
             "EvalReport", "JudgmentSet", "cohens_kappa", "improvement_ratios", "ndcg_at",
             "precision_at", "success_at",

@@ -96,6 +96,7 @@ def _object(value, where: str, keys=None) -> dict:
                           else f"expected object, got {value!r}")
     for key in value if keys is not None else ():
         if key not in keys:
+            key = key if key.isprintable() else repr(key)  # a line break would split the error
             raise ConfigError(f"{where}.{key}: unknown key" if where else f"{key}: unknown key")
     return value
 

@@ -15,7 +15,6 @@ entire runs are reproducible offline.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import urllib.parse
@@ -37,6 +36,7 @@ from .expand import (
     source_term_lists,
     thesaurus_expand,
 )
+from .text import _sha256_hex
 
 __all__ = [
     "FusionError",
@@ -171,7 +171,7 @@ def wbf_merge(lists: list[tuple[ResultList, float]], cap: int = 200) -> FusedLis
 def serp_fixture_name(engine_id: str, query: str) -> str:
     """Fixture filename for an (engine, query) pair: the query is hashed so
     arbitrary query strings stay filesystem-safe."""
-    digest = hashlib.sha256(query.encode("utf-8")).hexdigest()[:16]
+    digest = _sha256_hex(query)[:16]
     return f"{engine_id}__{digest}.json"
 
 

@@ -118,13 +118,14 @@ class JudgmentSet:
         grades: dict[tuple[str, str], dict[str, int]] = {}
         reader = csv.DictReader(io.StringIO(_read_text(path, newline=""), newline=""))
         try:
-            header, rows = reader.fieldnames, list(reader)
+            # each row with its last physical line: a quoted field can span several
+            header, rows = reader.fieldnames, [(reader.line_num, row) for row in reader]
         except csv.Error as exc:  # not a ValueError, so main would not report it
             raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from None
         required = {"query", "url", "judge", "grade"}
         if header is None or not required.issubset(header):
             raise ValueError(f"{path}: header must contain {sorted(required)}")
-        for lineno, row in enumerate(rows, start=2):
+        for lineno, row in rows:
             try:
                 grade = int(row["grade"])
             except (TypeError, ValueError):

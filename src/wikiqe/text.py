@@ -1,10 +1,10 @@
-"""Query tokenization, stopword handling, the benchmark queries and the
-text-file reader shared across the pipeline."""
+"""Query tokenization, stopword handling, the benchmark queries, and the
+text-file reader and file-name hash shared across the pipeline."""
 
 from __future__ import annotations
 
 from functools import lru_cache
-from importlib import resources
+from importlib import import_module, resources
 from pathlib import Path
 
 __all__ = [
@@ -71,6 +71,26 @@ def _read_text(path: str | Path, newline: str | None = None) -> str:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+@lru_cache(maxsize=1)
+def _sha256():
+    """CPython's builtin sha256 (``_sha2`` from 3.12, ``_sha256`` before): the
+    digests of ``hashlib.sha256`` without the import of OpenSSL's ``_hashlib``,
+    which costs about ten times as much. ``hashlib`` where neither is built in."""
+    for name in ("_sha2", "_sha256"):
+        try:
+            return import_module(name).sha256
+        except ImportError:
+            pass
+    from hashlib import sha256
+
+    return sha256
+
+
+def _sha256_hex(text: str) -> str:
+    """The sha256 hex digest of ``text`` in UTF-8, which cache and SERP file names start with."""
+    return _sha256()(text.encode("utf-8")).hexdigest()
 
 
 def _parse_stopwords(text: str) -> frozenset[str]:

@@ -1,5 +1,5 @@
 """The html.parser link extractor the crawl used before its link scanner,
-kept verbatim as the oracle for ``wikiqe.ingest._article_links``, plus the
+kept verbatim as the oracle for ``wikiqe._live._article_links``, plus the
 inputs both are compared on.
 
 Run as a script to compare them on every page of all sixteen benchmark
@@ -14,7 +14,7 @@ from html.parser import HTMLParser
 from pathlib import Path
 
 from wikiqe.graph import normalize_title
-from wikiqe.ingest import _NON_ARTICLE_PREFIXES, _article_links
+from wikiqe._live import _NON_ARTICLE_PREFIXES, _article_links
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 VARIANTS = 16  # benchmark/workloads.py: the crawl variants a seed picks from

@@ -782,6 +782,26 @@ def test_malformed_config_names_file_and_key_without_traceback(tmp_path, capsys,
     assert (code, out, err) == (1, "", f"error: {bad}: {message}\n")
 
 
+def test_unknown_key_with_a_line_break_is_named_on_one_line(tmp_path, capsys):
+    bad = tmp_path / "config.json"
+    for config, key in (({"pager\nk": {}}, "'pager\\nk'"),
+                        ({"crawl": {"hop\u2028bound": 1}}, "crawl.'hop\\u2028bound'")):
+        bad.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "expand", QUERY, "--config", str(bad), "--out", str(tmp_path))
+        assert (code, out, err) == (1, "", f"error: {bad}: {key}: unknown key\n")
+
+
+def test_interval_too_large_for_a_float_is_a_config_error(tmp_path, capsys):
+    # Loaded, it would end every live request in an OverflowError traceback
+    # from the pacer's float arithmetic.
+    bad = tmp_path / "config.json"
+    bad.write_text('{"crawl": {"request_interval": 1' + "0" * 400 + "}}")
+    code, out, err = run_cli(capsys, "expand", QUERY, "--config", str(bad), "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {bad}: crawl: request_interval must be finite, "
+                   "got an integer too large for a float\n")
+
+
 def test_config_error_is_a_value_error_without_the_file_from_dict():
     with pytest.raises(ConfigError, match=r"^pagerank: damping must be in \(0, 1\), got 2$"):
         RunConfig.from_dict({"pagerank": {"damping": 2}})

@@ -1,8 +1,9 @@
 """Import boundaries: ``import wikiqe`` loads no submodule, each CLI command
-loads only the modules its flow runs (no command loads ``dataclasses``, and
-a snapshot ``expand`` none of the standard modules only a live crawl or a
-CSV writer needs), and the package's lazy names resolve to the bindings of
-their defining modules on every access."""
+loads only the modules its flow runs (no command loads ``dataclasses``, a
+snapshot ``expand`` none of the standard modules only a live crawl or a CSV
+writer needs, and no snapshot command the live client or ``hashlib``), and
+the package's lazy names resolve to the bindings of their defining modules
+on every access."""
 
 import ast
 import importlib
@@ -74,6 +75,62 @@ def test_bench_loads_neither_fusion_nor_metrics(tmp_path):
                        "--config", CONFIG, "--out", str(tmp_path / "bench.csv"))
     assert "wikiqe.expand" in loaded
     assert not loaded & {"wikiqe.fusion", "wikiqe.metrics", "dataclasses"}
+
+
+# The live client, its pacer and link scanner, and OpenSSL's hash module
+# (file names are hashed with CPython's builtin sha256) serve only a live crawl.
+LIVE_ONLY = {"wikiqe._live", "hashlib", "_hashlib"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", QUERY, "--config", CONFIG],
+    ["gold", QUERY, "--k", "10", "--config", CONFIG],
+    ["bench", "--queries", str(FIXTURES / "queries.txt"), "--config", CONFIG],
+], ids=["expand", "gold", "bench"])
+def test_snapshot_commands_load_no_live_crawl_code(tmp_path, argv):
+    out = ["--out", str(tmp_path / "bench.csv" if argv[0] == "bench" else tmp_path)]
+    loaded = cli_loads(tmp_path, *argv, *out)
+    assert "wikiqe.ingest" in loaded
+    assert not loaded & LIVE_ONLY
+
+
+def test_a_live_source_loads_the_live_client(tmp_path):
+    from wikiqe.ingest import SNAPSHOT_ENV
+
+    code = (f"import os\nos.environ.pop({SNAPSHOT_ENV!r}, None)\n"
+            "from wikiqe.ingest import WikiSource\n"
+            f"assert WikiSource.from_env(cache_dir={str(tmp_path)!r}).client is not None")
+    assert "wikiqe._live" in loaded_after(tmp_path, code)
+
+
+def test_ingest_wiki_client_is_the_live_client():
+    from wikiqe import _live, ingest
+
+    assert ingest.WikiClient is wikiqe.WikiClient is _live.WikiClient
+    with pytest.raises(AttributeError, match="module 'wikiqe.ingest' has no attribute 'no_such_name'"):
+        ingest.no_such_name
+
+
+@pytest.mark.parametrize("title", ["", "Zürich — 東京 Ω", "a" * 100_000, "Alcoholism"],
+                         ids=["empty", "non-ascii", "long", "ascii"])
+def test_file_name_hash_is_hashlibs_sha256(title):
+    import hashlib
+
+    from wikiqe.text import _sha256_hex
+
+    assert _sha256_hex(title) == hashlib.sha256(title.encode("utf-8")).hexdigest()
+
+
+def test_file_name_hash_falls_back_to_hashlib(monkeypatch):
+    import hashlib
+
+    from wikiqe import text
+
+    def no_builtin(name):
+        raise ImportError(name)
+
+    monkeypatch.setattr(text, "import_module", no_builtin)
+    assert text._sha256.__wrapped__() is hashlib.sha256
 
 
 def test_eval_loads_only_cli_text_and_metrics(tmp_path):

@@ -623,6 +623,21 @@ def test_client_takes_a_request_interval_under_the_crawl_config_rule(
             build()
 
 
+def test_an_interval_too_large_for_a_float_is_rejected_before_any_request(tmp_path, monkeypatch):
+    # Taken, it would make every paced request raise OverflowError.
+    monkeypatch.delenv(SNAPSHOT_ENV, raising=False)
+    for build in (
+        lambda: CrawlConfig(request_interval=10**400),
+        lambda: WikiClient(request_interval=10**400, transport=lambda params: parse_payload()),
+        lambda: WikiSource.from_env(cache_dir=tmp_path, request_interval=10**400),
+    ):
+        with pytest.raises(ValueError, match="^request_interval must be finite, got an integer "
+                                             "too large for a float$"):
+            build()
+    assert WikiClient(request_interval=10**300, transport=lambda params: parse_payload(),
+                      sleep=lambda s: None).page("alcoholism").outlinks
+
+
 def test_live_fetch_caches_and_second_call_skips_network(tmp_path):
     client = WikiClient(transport=lambda params: parse_payload(), request_interval=0)
     source = WikiSource(PageCache(tmp_path), client)

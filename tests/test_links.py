@@ -16,7 +16,7 @@ comment and raw-text bodies hold no text that closes them early under one
 ``html.parser`` release and not under another (``-- >``, ``</ script>``).
 
 The scanner follows ``html.parser`` as CPython 3.10.13 to 3.13.0 release it
-(the same in each): ``ingest._ATTRIBUTE`` is that release's
+(the same in each): ``_live._ATTRIBUTE`` is that release's
 ``attrfind_tolerant``, and comments end at ``--\s*>`` and script/style
 bodies at ``</\s*script\s*>``, as there. The oracle runs on the interpreter's
 own ``html.parser``. Later patch releases (3.13.13 among them) rewrote it:
@@ -34,7 +34,7 @@ import urllib.parse
 
 import pytest
 
-from wikiqe.ingest import _article_links
+from wikiqe._live import _article_links
 
 from reference_links import HAND_CASES, reference_links, synthetic_pages
 

@@ -187,6 +187,16 @@ def test_judgments_csv_names_bad_line(tmp_path):
         JudgmentSet.from_csv(path)
 
 
+def test_judgments_csv_names_the_physical_line_after_a_multi_line_field(tmp_path):
+    path = tmp_path / "judgments.csv"
+    path.write_text(
+        'query,url,judge,grade\n"q\nspans two lines",https://a/1,j1,2\nq,https://a/2,j1,nine\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=r":4: grade 'nine' is not an integer$"):
+        JudgmentSet.from_csv(path)
+
+
 def test_judgments_csv_rejects_out_of_range_grade(tmp_path):
     path = tmp_path / "judgments.csv"
     path.write_text("query,url,judge,grade\nq,https://a/1,j1,5\n", encoding="utf-8")
