@@ -40,13 +40,12 @@ at round-half-even ties, and a run none of whose adds rounds is a single
 add. A node with thousands of nodes in reach costs a few dozen float
 operations instead of thousands of adds.
 
-PageRank's leaves mostly have a single in-link, and a breadth-first node
-order lists a page's new leaves side by side. Each iteration fills such
-index ranges with one slice assignment of ``base + share`` -- the bits of
-``base`` followed by its one ``+= share`` -- and keeps the ordered ``+=``
-only for nodes with more than one in-link. Its sums are the builtin
-``sum``, which is compensated from CPython 3.12 on, so PageRank's low bits
-differ between interpreters before and after 3.12.
+PageRank scatters each iteration edge by edge: every node starts at
+``base``, and each source with outlinks adds its share to its targets by
+``+=``, in node order and then in the order its edges list them. The
+dangling mass and the L1 change are the builtin ``sum``, which is
+compensated from CPython 3.12 on, so PageRank's low bits differ between
+interpreters before and after 3.12.
 """
 
 from __future__ import annotations
@@ -233,13 +232,9 @@ def pagerank(subgraph: ConceptSubgraph, params: PageRankParams | None = None) ->
     Starts from the uniform vector and stops once the L1 change drops
     below ``params.tolerance``; if ``max_iterations`` passes first, the
     last iterate is returned with ``converged=False``. Scores sum to 1.
-    Every sum runs in node order, so results do not depend on hashing.
-
-    A node with a single in-link (repeated links and self-links counted)
-    gets ``base + share`` in one add, so a source writes those of its
-    targets at consecutive indices with one slice assignment; the other
-    targets take their shares by ``+=`` in the order the edges list them.
-    Every score keeps the bits of the plain edge-by-edge scatter.
+    Every sum runs in node order, so results do not depend on hashing:
+    each source adds its share to its targets by ``+=`` in the order the
+    edges list them, repeated links and self-links included.
     """
     params = params or PageRankParams()
     nodes = subgraph.nodes
@@ -248,36 +243,17 @@ def pagerank(subgraph: ConceptSubgraph, params: PageRankParams | None = None) ->
         raise ValueError("pagerank needs a non-empty subgraph")
     d = params.damping
     targets = subgraph.targets
-    in_links = [0] * n  # repeated links and self-links counted
-    for out in targets:
-        for v in out:
-            in_links[v] += 1
     dangling = [i for i, out in enumerate(targets) if not out]
-    linked = []  # (source, out-degree, [lo, hi) ranges of sole targets, other targets)
-    for i, out in enumerate(targets):
-        if out:
-            ranges, shared = [], []
-            for v in out:
-                if in_links[v] > 1:
-                    shared.append(v)
-                elif ranges and ranges[-1][1] == v:
-                    ranges[-1][1] = v + 1
-                else:
-                    ranges.append([v, v + 1])
-            linked.append((i, len(out), ranges, shared))
+    linked = [(i, out) for i, out in enumerate(targets) if out]
     rank = [1.0 / n] * n
     converged = False
     iterations = 0
     for iterations in range(1, params.max_iterations + 1):
         base = (1.0 - d) / n + d * sum(map(rank.__getitem__, dangling)) / n
         nxt = [base] * n
-        for i, out_degree, ranges, shared in linked:
-            share = d * rank[i] / out_degree
-            if ranges:  # a node with one in-link is base plus one share
-                value = base + share
-                for lo, hi in ranges:
-                    nxt[lo:hi] = [value] * (hi - lo)
-            for v in shared:
+        for i, out in linked:
+            share = d * rank[i] / len(out)
+            for v in out:
                 nxt[v] += share
         delta = sum(map(abs, map(sub, nxt, rank)))
         rank = nxt

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from ._value import FrozenValue, Value, as_dict, fields
 from .centrality import PageRankParams
-from .expand import KNOWLEDGE_SOURCES
+from .expand import KNOWLEDGE_SOURCES, THESAURUS_SOURCES
 from .ingest import CrawlConfig
 # Re-exported from text: the benchmark workloads and the fixture generator
 # import them from here.
@@ -192,7 +192,7 @@ class RunConfig(Value):
         engines = data.get("engines")
         if engines is not None and not isinstance(engines, list):
             raise ConfigError(f"engines: expected list, got {engines!r}")
-        dictionaries = _object(paths.get("dictionaries", {}), "paths.dictionaries")
+        dictionaries = _object(paths.get("dictionaries", {}), "paths.dictionaries", THESAURUS_SOURCES)
         config = cls(
             crawl=_section(CrawlConfig, data.get("crawl", {}), "crawl"),
             pagerank=_section(PageRankParams, data.get("pagerank", {}), "pagerank"),

@@ -114,7 +114,7 @@ class JudgmentSet:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "JudgmentSet":
-        """Load ``query,url,judge,grade`` rows; bad grades and unparsable lines name their line."""
+        """Load ``query,url,judge,grade`` rows; a bad, short or unparsable row names its line."""
         grades: dict[tuple[str, str], dict[str, int]] = {}
         reader = csv.DictReader(io.StringIO(_read_text(path, newline=""), newline=""))
         try:
@@ -122,13 +122,16 @@ class JudgmentSet:
             header, rows = reader.fieldnames, [(reader.line_num, row) for row in reader]
         except csv.Error as exc:  # not a ValueError, so main would not report it
             raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from None
-        required = {"query", "url", "judge", "grade"}
-        if header is None or not required.issubset(header):
+        required = ("query", "url", "judge", "grade")
+        if header is None or not set(required).issubset(header):
             raise ValueError(f"{path}: header must contain {sorted(required)}")
         for lineno, row in rows:
+            for field in required:
+                if row[field] is None:  # DictReader's filler for a short row
+                    raise ValueError(f"{path}:{lineno}: row has no {field}")
             try:
                 grade = int(row["grade"])
-            except (TypeError, ValueError):
+            except ValueError:
                 raise ValueError(f"{path}:{lineno}: grade {row['grade']!r} is not an integer") from None
             if grade not in VALID_GRADES:
                 raise ValueError(f"{path}:{lineno}: grade must be 0, 1 or 2, got {grade}")

@@ -15,6 +15,7 @@ so a numbering bug in the kernels' input cannot agree with itself.
 
 import hashlib
 import random
+import sys
 from collections import deque
 
 import pytest
@@ -147,6 +148,30 @@ def test_closeness_bits_are_pinned_across_releases():
         for node, score in closeness(sub).items():
             digest.update(f"{node}\t{float(score).hex()}\n".encode("utf-8"))
     assert digest.hexdigest() == FIXTURE_CLOSENESS_SHA256
+
+
+# sha256 of every PageRank score's float.hex, in node order, then of its
+# iterations and converged, over the 42 fixture-root closures and the roots
+# of crawl_shaped_graph(). The builtin sum PageRank uses is compensated from
+# CPython 3.12 on, so there is one digest before 3.12 (recorded on 3.10 and
+# 3.11) and one from 3.12 on (recorded on 3.12 and 3.13).
+PAGERANK_SHA256 = (
+    "b003b60b0ebc425a39b0aaf048a50fbf25aea1c8ef0b381d02d76b0da949ec65" if sys.version_info >= (3, 12)
+    else "034321c93c143ac72535dde8299333696d96ddbca59992f85110d1dd34fee12c"
+)
+
+
+def test_pagerank_bits_are_pinned_per_release():
+    graph = crawl_shaped_graph()
+    closures = [*fixture_root_subgraphs(),
+                *((graph, graph.isolate_subgraph(root), PageRankParams()) for root in graph.roots)]
+    digest = hashlib.sha256()
+    for _, sub, params in closures:
+        result = pagerank(sub, params)
+        for node, score in result.scores.items():
+            digest.update(f"{node}\t{score.hex()}\n".encode("utf-8"))
+        digest.update(f"{result.iterations}\t{result.converged}\n".encode("utf-8"))
+    assert digest.hexdigest() == PAGERANK_SHA256
 
 
 def test_bit_exact_on_random_cyclic_and_disconnected_graphs():

@@ -379,6 +379,23 @@ def test_eval_malformed_judgments_error_names_line(tmp_path, capsys):
     assert ":2" in err
 
 
+@pytest.mark.parametrize("text, where", [
+    ("grade,judge,url,query\n1,j1\n", "2: row has no query"),
+    ("query,grade,url,judge\nq,1,https://u/1,j1\nq,2\n", "3: row has no url"),
+    ("query,grade,url,judge\nq,2\n", "2: row has no url"),
+], ids=["no-query", "after-a-full-row", "only-row"])
+def test_eval_judgments_row_short_of_a_column_error_names_line(tmp_path, capsys, text, where):
+    # csv.DictReader fills a short row's missing fields with None, which
+    # would otherwise be scored as a judge None grading the url None.
+    runs, gold_dir = make_eval_dirs(tmp_path, ["https://u/1"], ["https://u/1"])
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    code, out, err = run_cli(
+        capsys, "eval", "--runs", str(runs), "--gold", str(gold_dir), "--judgments", str(bad)
+    )
+    assert (code, out, err) == (1, "", f"error: {bad}:{where}\n")
+
+
 @pytest.mark.parametrize("text, line", [
     ("query,url,judge,grade\nq,https://u/" + "x" * 200_000 + ",j1,2\n", 2),
     ("query,url,judge,grade," + "x" * 200_000 + "\nq,https://u/1,j1,2\n", 1),
@@ -769,12 +786,13 @@ def test_fixture_config_loads():
     ({"weights": {"degree": "a"}}, "weights.degree: expected int, got 'a'"),
     ({"crawll": {"hop_bound": 1}}, "crawll: unknown key"),
     ({"paths": {"snapshot": "snapshot"}}, "paths.snapshot: unknown key"),
+    ({"paths": {"dictionaries": {"wordnett": "wn.txt"}}}, "paths.dictionaries.wordnett: unknown key"),
     ({"crawl": {"request_interval": float("nan")}}, "crawl: request_interval must be finite, got nan"),
     ({"crawl": {"request_interval": -5}}, "crawl: request_interval must be >= 0, got -5"),
     ({"pagerank": {"tolerance": float("inf")}}, "pagerank: tolerance must be finite, got inf"),
 ], ids=["wrong-type", "section-not-object", "top-level-list", "engine-without-confidence",
-        "weight-not-int", "misspelt-section", "misspelt-path", "nan-interval", "negative-interval",
-        "infinite-tolerance"])
+        "weight-not-int", "misspelt-section", "misspelt-path", "misspelt-dictionary", "nan-interval",
+        "negative-interval", "infinite-tolerance"])
 def test_malformed_config_names_file_and_key_without_traceback(tmp_path, capsys, config, message):
     bad = tmp_path / "config.json"
     bad.write_text(json.dumps(config))

@@ -1,4 +1,5 @@
-"""The exact run sum behind closeness, and PageRank's leaf-run scatter.
+"""The exact run sum behind closeness, and the order in which PageRank's
+scatter adds the shares of a target with several in-links.
 
 ``_run_sum(runs)`` must return the left-to-right float sum of the terms
 ``x`` repeated ``n`` times per ``(x, n)`` run, one rounded add after
@@ -123,14 +124,14 @@ def test_run_sum_matches_builtin_sum_on_random_run_lists():
 
 
 # ---------------------------------------------------------------------------
-# PageRank's leaf runs
+# PageRank's per-edge order
 # ---------------------------------------------------------------------------
 
 def test_pagerank_leaf_run_broken_by_shared_repeated_and_self_links():
-    # "hub" lists a to e side by side, but "shared" also has a link from
-    # "other", "d" is linked twice and "c" links itself: each has two
-    # in-links, breaks the run of single-in-link leaves and takes its
-    # shares by +=.
+    # "shared" has a link from "hub" and one from "other", "d" is linked
+    # twice by "hub" and "c" has a link from "hub" and one from itself:
+    # each adds its two shares to base by +=, in source order and then in
+    # the order the source lists its links, as the reference does.
     adjacency = {
         "hub": ["a", "b", "shared", "c", "d", "d", "e"],
         "other": ["shared", "f", "g"],
