@@ -31,8 +31,9 @@ reach only themselves and score int 0.
 A score is the float sum a BFS from its node produces: 1/d added once per
 node at distance d, in increasing d, one rounded add after another from
 int 0 -- the bits the builtin ``sum`` gives before CPython 3.12, on every
-interpreter. ``_run_sum`` returns exactly that float from the runs
-``(1/d, count_d)`` without adding term by term. Inside one binade (the
+interpreter. As the sweep finds level d, one ``_add_run`` call adds its
+count_d terms 1/d to each growing node's running sum: exactly the float
+of those adds, without adding term by term. Inside one binade (the
 floats between two powers of two are evenly spaced) an add of the same
 term moves the sum by the same rounded step, so a run of adds is one
 exact multiply-add per binade, with single adds at binade crossings and
@@ -141,10 +142,12 @@ def closeness(subgraph: ConceptSubgraph) -> dict[str, float]:
             bits |= 1 << v
         reach.append(bits)
     seen = [bits.bit_count() for bits in reach]
-    counts = [[size - 1] for size in seen]  # nodes at distance 1, 2, ...
+    sums = [_add_run(0, 1.0, size - 1) for size in seen]
     feeds = [[slot[v] for v in targets[i] if v in slot] for i in inner]
     active = [j for j, feed in enumerate(feeds) if feed]
+    d = 1
     while active:
+        d += 1
         grown = []
         for j in active:
             bits = reach[j]
@@ -155,13 +158,12 @@ def closeness(subgraph: ConceptSubgraph) -> dict[str, float]:
                 grown.append((j, bits, size))
         # Commit after the sweep so every node reads the previous level.
         for j, bits, size in grown:
-            counts[j].append(size - seen[j])
+            sums[j] = _add_run(sums[j], 1.0 / d, size - seen[j])
             reach[j] = bits
             seen[j] = size
         active = [j for j, _, _ in grown]
-    scores = {node: 0 for node in nodes}
-    for i, per_level in zip(inner, counts):
-        scores[nodes[i]] = _run_sum([(1.0 / d, c) for d, c in enumerate(per_level, start=1)])
+    scores = dict.fromkeys(nodes, 0)
+    scores.update(zip([nodes[i] for i in inner], sums))
     return scores
 
 
@@ -214,15 +216,6 @@ def _add_run(acc, x: float, n: int):
         k = _steady_adds(acc, x, t, n)
         acc = acc + k * (t - acc) if k > 1 else t  # k * step is exact
         n -= k
-    return acc
-
-
-def _run_sum(runs: list[tuple[float, int]]):
-    """The left-to-right float sum of ``runs`` (``(x, count)`` pairs): one
-    rounded add after another from int 0, so no terms give int 0."""
-    acc = 0
-    for x, n in runs:
-        acc = _add_run(acc, x, n)
     return acc
 
 

@@ -215,7 +215,7 @@ class RunConfig(Value):
         path = Path(path)
         try:
             return cls.from_dict(json.loads(path.read_text(encoding="utf-8")), base=path.parent)
-        except ValueError as exc:  # bad JSON, text that is not UTF-8, or a ConfigError
+        except (ValueError, RecursionError) as exc:  # bad or too deep JSON, bad UTF-8, ConfigError
             raise ConfigError(f"{path}: {exc}") from None
         except FileNotFoundError as exc:  # the config file, or a path it names
             if exc.filename is not None:  # the config file: the OS error names it

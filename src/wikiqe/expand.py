@@ -272,31 +272,25 @@ def thesaurus_expand(
         synonyms = [s.casefold() for s in dictionary.lookup(term)]
         if dictionary.ordering == "unranked":
             rng.shuffle(synonyms)
-        synonyms = [s for s in synonyms if s not in stopwords and s not in query_tokens]
-        pools.append((term, synonyms))
+        usable = (s for s in synonyms if s not in stopwords and s not in query_tokens)
+        pools.append((term, usable))
 
-    picked: list[str] = []
     provenance: dict[str, list[str]] = {}
-    cursors = [0] * len(pools)
-    while len(picked) < m:
-        progressed = False
-        for i, (term, synonyms) in enumerate(pools):
-            while cursors[i] < len(synonyms) and synonyms[cursors[i]] in picked:
-                cursors[i] += 1
-            if cursors[i] < len(synonyms):
-                candidate = synonyms[cursors[i]]
-                cursors[i] += 1
-                picked.append(candidate)
-                provenance[candidate] = [term]
-                progressed = True
-                if len(picked) == m:
-                    break
-        if not progressed:
-            break
+    while pools and len(provenance) < m:
+        left = []
+        for term, synonyms in pools:
+            candidate = next((s for s in synonyms if s not in provenance), None)
+            if candidate is None:
+                continue  # exhausted: the pool leaves the round-robin
+            provenance[candidate] = [term]
+            left.append((term, synonyms))
+            if len(provenance) == m:
+                break
+        pools = left
     return ExpansionResult(
-        qe_terms=picked,
+        qe_terms=list(provenance),
         provenance=provenance,
-        shortfall=len(picked) < m,
+        shortfall=len(provenance) < m,
     )
 
 

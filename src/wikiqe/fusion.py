@@ -77,6 +77,8 @@ def normalize_url(url: str) -> str:
     parts = urllib.parse.urlsplit(url.strip())
     scheme = parts.scheme.lower()
     host = parts.hostname.lower() if parts.hostname else ""
+    if ":" in host:  # an IPv6 address: urlsplit drops its brackets
+        host = f"[{host}]"
     netloc = host
     if parts.port is not None:
         default = {"http": 80, "https": 443}.get(scheme)
@@ -201,8 +203,9 @@ class FixtureEngineAdapter:
             raise EngineError(
                 f"unreadable SERP fixture {path.name}: {exc.strerror or exc}"
             ) from exc
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            # ValueError covers bad JSON and URLs normalize_url rejects (bad port)
+        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+            # ValueError covers bad JSON and URLs normalize_url rejects (bad
+            # port); RecursionError, JSON nested too deep to decode
             raise EngineError(f"malformed SERP fixture {path.name}: {exc}") from exc
 
 

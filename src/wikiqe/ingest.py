@@ -227,7 +227,7 @@ class PageCache:
                 data = json.loads(handle.read())
         except FileNotFoundError:
             return None
-        except ValueError as exc:  # invalid JSON or UTF-8
+        except (ValueError, RecursionError) as exc:  # invalid or too deep JSON, bad UTF-8
             raise IngestError(f"malformed cache record {path}: {exc}") from None
         except OSError as exc:  # a directory in its place, no permission, ...
             raise IngestError(f"unreadable cache record {path}: {exc.strerror or exc}") from None

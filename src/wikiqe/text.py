@@ -65,9 +65,10 @@ def benchmark_queries() -> list[str]:
 
 
 def _read_text(path: str | Path, newline: str | None = None) -> str:
-    """The UTF-8 text of a file; text that does not decode names the file."""
+    """The UTF-8 text of a file, less a leading byte-order mark; text that
+    does not decode names the file."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as handle:
+        with open(path, encoding="utf-8-sig", newline=newline) as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None

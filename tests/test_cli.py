@@ -826,7 +826,8 @@ def test_config_error_is_a_value_error_without_the_file_from_dict():
     assert issubclass(ConfigError, ValueError)
 
 
-@pytest.mark.parametrize("payload", [b"{\n", b'{"seed": 1}\xff\n'], ids=["bad-json", "not-utf8"])
+@pytest.mark.parametrize("payload", [b"{\n", b'{"seed": 1}\xff\n', b'{"seed": ' + b"[" * 100_000],
+                         ids=["bad-json", "not-utf8", "nested-too-deep"])
 def test_unreadable_config_error_names_the_file(tmp_path, capsys, payload):
     bad = tmp_path / "config.json"
     bad.write_bytes(payload)
@@ -869,6 +870,40 @@ def test_undecodable_text_input_error_names_the_file(tmp_path, capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
+
+
+def eval_urls_case(tmp_path):
+    urls = [f"https://u/{i}" for i in range(3)]
+    runs, gold_dir = make_eval_dirs(tmp_path, urls, urls[:1])
+    return runs / f"{query_slug(QUERY)}__graph.urls", ["eval", "--runs", str(runs), "--gold", str(gold_dir)]
+
+
+def text_input_case(argv):
+    """The case of an ``argv`` builder above, reading ``input.txt``."""
+    return lambda tmp_path: (tmp_path / "input.txt", argv(tmp_path, tmp_path / "input.txt"))
+
+
+# Each first line changes the output when it is read with the mark in it.
+@pytest.mark.parametrize("case, text", [
+    (text_input_case(eval_argv), (FIXTURES / "judgments.csv").read_text(encoding="utf-8")),
+    (text_input_case(lambda tmp_path, path: ["bench", "--queries", str(path), "--config", CONFIG]),
+     f"{QUERY}\ndatabase overlap\n"),
+    (text_input_case(stopwords_argv), "alcoholic\nbeverage\n"),
+    (text_input_case(dictionary_argv), (FIXTURES / "dicts" / "moby.txt").read_text(encoding="utf-8")),
+    (eval_urls_case, "https://u/0\nhttps://u/1\nhttps://u/2\n"),
+], ids=["judgments", "bench-queries", "stopwords", "dictionary", "eval-urls"])
+def test_text_input_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, case, text):
+    path, argv = case(tmp_path)
+    runs = []
+    for mark in ("", "\ufeff"):
+        path.write_text(mark + text, encoding="utf-8")
+        shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        code, out, err = run_cli(capsys, *argv)
+        if argv[0] == "bench":  # drop the qe_seconds column, a timing
+            out = [row[:1] + row[2:] for row in csv.reader(io.StringIO(out))]
+        files = sorted((p.name, p.read_bytes()) for p in (tmp_path / "out").glob("*"))
+        runs.append((code, out, err, files))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("make", [lambda path: None, lambda path: path.write_text("x\n")],

@@ -57,10 +57,16 @@ def test_normalize_url_idempotent():
         "HTTP://WWW.Site.org:80/A/B#sec",
         "https://host/path%20x?y=Z",
         "https://user:pw@Host.net:444/q",
+        "http://[::1]:8080/x",
+        "http://[::1:8080]/x",
+        "HTTPS://[FE80::A:1]:443/p?q#f",
+        "http://u@[2001:db8::7]/",
     ]
     for url in samples:
         once = normalize_url(url)
         assert normalize_url(once) == once
+    # An IPv6 host keeps its brackets, so a port stays apart from the address.
+    assert normalize_url("http://[::1]:8080/x") != normalize_url("http://[::1:8080]/x")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Fuzzed gold-standard inputs: one SERP or dictionary file of a fixture copy
-is truncated, has a byte flipped, holds a field of the wrong type or is a
-directory. ``wikiqe gold`` must exit 0 or 1 without a traceback (a
-traceback fails the test: ``main`` runs in process). A broken SERP file
-costs only its own list, named on an ``engine failure:`` line; a broken
-dictionary is an ``error:`` naming the file."""
+is truncated, has a byte flipped, holds a field of the wrong type, has
+arrays nested too deep for ``json`` to decode, or is a directory. ``wikiqe
+gold`` must exit 0 or 1 without a traceback (a traceback fails the test:
+``main`` runs in process). A broken SERP file costs only its own list,
+named on an ``engine failure:`` line; a broken dictionary is an
+``error:`` naming the file."""
 
 import contextlib
 import io
@@ -24,15 +25,19 @@ OUTPUTS = ("adolescent_alcoholism__gold_k10.urls", "adolescent_alcoholism__fused
 SERPS = sorted(path.name for path in (FIXTURES / "serp").glob("*__*.json"))
 DICTIONARIES = ("wordnet", "wikisynonyms", "moby")
 WRONG_TYPES = st.sampled_from([None, True, 5, 2.5, {"url": "https://a.org/"}, ["https://a.org/"]])
+# Opened arrays that json cannot decode without a RecursionError on any release.
+NEST = b"[" * 100_000
 
 
 @st.composite
 def byte_mutations(draw, size):
-    kind = draw(st.sampled_from(["truncate", "flip", "directory"]))
+    kind = draw(st.sampled_from(["truncate", "flip", "nest", "directory"]))
     if kind == "truncate":
         return kind, draw(st.integers(0, size - 1))
     if kind == "flip":
         return kind, (draw(st.integers(0, size - 1)), draw(st.integers(1, 255)))
+    if kind == "nest":  # NEST inserted before this byte
+        return kind, draw(st.integers(0, size))
     return kind, None
 
 
@@ -66,6 +71,8 @@ def mutate(path: Path, mutation) -> None:
     data = bytearray(path.read_bytes())
     if kind == "truncate":
         del data[arg:]
+    elif kind == "nest":
+        data[arg:arg] = NEST
     else:
         position, mask = arg
         data[position] ^= mask
@@ -75,7 +82,7 @@ def mutate(path: Path, mutation) -> None:
 def is_json(path: Path) -> bool:
     try:
         json.loads(path.read_bytes())
-    except ValueError:
+    except (ValueError, RecursionError):
         return False
     return True
 
@@ -93,8 +100,15 @@ def run_gold(root: Path, serp_dir: Path, dict_dir: Path):
     return code, err.getvalue(), out
 
 
+def nest_at(path: Path, field: bytes) -> tuple[str, int]:
+    """The ``nest`` mutation of ``path`` that opens its arrays in place of
+    the value of ``field``, where json must decode them."""
+    return "nest", path.read_bytes().index(field) + len(field)
+
+
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(serp_mutations())
+@hypothesis.example((SERPS[0], nest_at(FIXTURES / "serp" / SERPS[0], b'"results": ')))
 def test_a_broken_serp_file_costs_only_its_list(case):
     name, mutation = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -104,7 +118,7 @@ def test_a_broken_serp_file_costs_only_its_list(case):
         mutate(path, mutation)
         # Mutated bytes that still parse may still break the list (say, a
         # port out of range), or change only a URL or a field nobody reads.
-        broken = mutation[0] not in ("truncate", "flip") or not is_json(path)
+        broken = mutation[0] not in ("truncate", "flip", "nest") or not is_json(path)
         code, err, out = run_gold(root, root / "serp", FIXTURES / "dicts")
         assert code == 0, err
         assert all((out / output).is_file() for output in OUTPUTS)

@@ -137,6 +137,9 @@ def test_cache_failed_write_leaves_no_temp_file(tmp_path):
     pytest.param(json.dumps(record_fields(PageRecord("methanol", [], 0.0, "live"))).encode(),
                  "does not hold the title 'ethanol'", id="other-title"),
     pytest.param(b'{"title": "ethanol"}', "malformed cache record", id="missing-fields"),
+    # Deep enough for json to raise RecursionError on every release.
+    pytest.param(b'{"title": "ethanol", "outlinks": ' + b"[" * 100_000, "malformed cache record",
+                 id="nested-too-deep"),
 ])
 def test_cache_malformed_page_raises_ingest_error_naming_file(tmp_path, content, match):
     cache = PageCache(tmp_path)

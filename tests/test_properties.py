@@ -32,7 +32,10 @@ def test_borda_ignores_list_order(data):
 @st.composite
 def urls(draw):
     scheme = draw(st.sampled_from(["http", "https", "HTTP", "Https"]))
-    host = draw(st.from_regex(r"[A-Za-z0-9]{1,8}(\.[A-Za-z0-9]{1,8}){0,2}", fullmatch=True))
+    host = draw(st.one_of(
+        st.from_regex(r"[A-Za-z0-9]{1,8}(\.[A-Za-z0-9]{1,8}){0,2}", fullmatch=True),
+        st.ip_addresses(v=6).map("[{}]".format),
+    ))
     port = draw(st.one_of(st.none(), st.sampled_from([80, 443, 8080]), st.integers(0, 65535)))
     user = draw(st.one_of(st.none(), st.from_regex(r"[a-z]{1,5}(:[a-z0-9]{1,5})?", fullmatch=True)))
     path = draw(st.from_regex(r"(/[A-Za-z0-9%._~-]{0,8}){0,3}", fullmatch=True))

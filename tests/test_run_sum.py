@@ -1,10 +1,12 @@
-"""The exact run sum behind closeness, and the order in which PageRank's
+"""The exact run adds behind closeness, and the order in which PageRank's
 scatter adds the shares of a target with several in-links.
 
-``_run_sum(runs)`` must return the left-to-right float sum of the terms
-``x`` repeated ``n`` times per ``(x, n)`` run, one rounded add after
-another from int 0: the same float, or int 0 when there are no terms. That
-is what the builtin ``sum`` gives before CPython 3.12, on every interpreter.
+Closeness folds each level's run into its node's sum with ``_add_run``.
+Folded over ``(x, n)`` runs from int 0, as ``_run_sum`` does here, it must
+return the left-to-right float sum of the terms ``x`` repeated ``n`` times
+per run, one rounded add after another: the same float, or int 0 when
+there are no terms. That is what the builtin ``sum`` gives before CPython
+3.12, on every interpreter.
 """
 
 import operator
@@ -15,10 +17,15 @@ from math import ulp
 
 import pytest
 
-from wikiqe.centrality import _run_sum, closeness
+from wikiqe.centrality import _add_run, closeness
 
 from conftest import make_subgraph
 from test_centrality_exact import assert_bit_exact, with_sinks
+
+
+def _run_sum(runs):
+    """The runs added one after another, as the closeness sweep adds levels."""
+    return reduce(lambda acc, run: _add_run(acc, *run), runs, 0)
 
 
 def reduce_sum(runs):
