@@ -33,7 +33,8 @@ for root in graph.roots:
 best = graph.select_best_concept()
 print(f"\nbest concept: {best.root!r}")
 
-# Graphs serialize to a line-oriented text format that round-trips exactly.
+# Graphs serialize to a line-oriented text format; `expand` writes it to
+# its output directory as <slug>.graph.txt.
 dump = graph.dumps()
 print(f"\nserialized graph is {len(dump.splitlines())} lines; first three:")
 for line in dump.splitlines()[:3]:

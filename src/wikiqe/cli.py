@@ -124,29 +124,13 @@ def cmd_expand(args) -> int:
 
 
 def cmd_gold(args) -> int:
-    from .fusion import (
-        FixtureEngineAdapter,
-        FusionError,
-        KnowledgeWeights,
-        gold_variants,
-        run_mse,
-    )
+    from .fusion import FixtureEngineAdapter, FusionError, gold_variants, run_mse
 
     if args.k < 1:
         raise ValueError(f"k must be >= 1, got {args.k}")
     if args.cap < 1:
         raise ValueError(f"cap must be >= 1, got {args.cap}")
     config = _configure(args)
-    if args.preset:
-        config.apply_preset(args.preset)
-    if args.weights:
-        try:
-            d, c, p = (int(v) for v in args.weights.split(","))
-        except ValueError:
-            raise SystemExit("--weights expects three integers: degree,closeness,pagerank")
-        config.weights = KnowledgeWeights(degree=d, closeness=c, pagerank=p)
-    if args.seed is not None:
-        config.seed = args.seed
     if config.serp_dir is None:
         raise FusionError("gold generation needs a SERP fixture directory (paths.serp_dir)")
     graph = _source(config).build_graph(args.query, config.crawl)
@@ -288,9 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10, help="gold set size (default 10)")
     p.add_argument("--cap", type=int, default=200, help="per-list merge window (default 200)")
     _add_run_config(p)
-    p.add_argument("--preset", choices=["paper", "tuned"], help="weight preset")
-    p.add_argument("--weights", help="graph weights as degree,closeness,pagerank")
-    p.add_argument("--seed", type=int, help="seed for unranked-synonym sampling")
     p.add_argument("--out", help=out_dir)
     p.set_defaults(func=cmd_gold)
 

@@ -2,8 +2,8 @@
 
 Configs load from a JSON file; relative paths inside it resolve against
 the file's own directory, so a fixture bundle can be checked out anywhere.
-Two weight presets ship: "paper" (the six-source reference split with the
-five reference engine confidences) and "tuned" (graph-only 20-30-20).
+A config without ``weights`` or ``engines`` uses the reference set-up: the
+six-source weight split and the five reference engine confidences.
 A config that does not parse or type-check raises :class:`ConfigError`
 naming the file and the key path, e.g. ``config.json: crawl.hop_bound:
 expected int, got 'x'``.
@@ -29,7 +29,6 @@ __all__ = [
     "KnowledgeWeights",
     "DEFAULT_ENGINES",
     "SIX_SOURCE_WEIGHTS",
-    "GRAPH_TUNED_WEIGHTS",
     "BASIC_QUERIES",
     "benchmark_queries",
     "query_slug",
@@ -58,8 +57,8 @@ class KnowledgeWeights(FrozenValue):
         return {source: getattr(self, source) for source in KNOWLEDGE_SOURCES}
 
 
-# Reference set-ups: the five fixture engine ids with their confidence
-# values, the six-source weight split, and the graph-only tuned triple.
+# The reference set-up: the five fixture engine ids with their confidence
+# values, and the six-source weight split.
 DEFAULT_ENGINES = [
     EngineConfig("google", 30),
     EngineConfig("lycos", 25),
@@ -70,7 +69,6 @@ DEFAULT_ENGINES = [
 SIX_SOURCE_WEIGHTS = KnowledgeWeights(
     degree=30, closeness=20, pagerank=20, wordnet=10, wikisynonyms=10, moby=10
 )
-GRAPH_TUNED_WEIGHTS = KnowledgeWeights(degree=20, closeness=30, pagerank=20)
 
 
 class ConfigError(ValueError):
@@ -142,14 +140,6 @@ class RunConfig(Value):
         self.stopwords_path = stopwords_path
         self.output_dir = output_dir
         self.seed = seed
-
-    def apply_preset(self, name: str) -> None:
-        if name == "paper":
-            self.weights = SIX_SOURCE_WEIGHTS
-        elif name == "tuned":
-            self.weights = GRAPH_TUNED_WEIGHTS
-        else:
-            raise ValueError(f"unknown preset {name!r} (expected 'paper' or 'tuned')")
 
     # ------------------------------------------------------------------
     # JSON round-trip

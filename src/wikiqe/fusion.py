@@ -24,7 +24,6 @@ from ._value import Value
 from .centrality import CentralityTable
 from .config import (
     DEFAULT_ENGINES,
-    GRAPH_TUNED_WEIGHTS,
     SIX_SOURCE_WEIGHTS,
     EngineConfig,
     KnowledgeWeights,
@@ -55,7 +54,6 @@ __all__ = [
     "serp_fixture_name",
     "DEFAULT_ENGINES",
     "SIX_SOURCE_WEIGHTS",
-    "GRAPH_TUNED_WEIGHTS",
     "GOLD_M",
 ]
 

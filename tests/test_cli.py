@@ -14,7 +14,7 @@ import pytest
 from conftest import hashed_name
 from wikiqe.cli import main
 from wikiqe.config import ConfigError, RunConfig, benchmark_queries, query_slug
-from wikiqe.fusion import SIX_SOURCE_WEIGHTS
+from wikiqe.fusion import SIX_SOURCE_WEIGHTS, FixtureEngineAdapter, KnowledgeWeights
 from wikiqe.ingest import PageCache, PageRecord, WikiClient, WikiSource, search_key
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -245,14 +245,6 @@ def test_gold_is_deterministic(tmp_path, capsys):
     assert files[0] == files[1]
 
 
-def test_gold_weights_flag_rejects_garbage(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["gold", QUERY, "--weights", "a,b", "--config", CONFIG,
-              "--out", str(tmp_path)])
-    assert exc.value.code == "--weights expects three integers: degree,closeness,pagerank"
-    assert list(tmp_path.iterdir()) == []
-
-
 def fixture_config_copy(tmp_path, edit) -> str:
     """The fixture config, changed by ``edit``, written to ``tmp_path`` with
     its fixture-relative paths kept working from there."""
@@ -267,6 +259,57 @@ def fixture_config_copy(tmp_path, edit) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def test_gold_without_a_serp_dir_errors_before_the_crawl(tmp_path, capsys, monkeypatch):
+    crawled = []
+    monkeypatch.setattr(WikiSource, "build_graph", lambda self, query, config: crawled.append(query))
+    config = fixture_config_copy(tmp_path, lambda data: data["paths"].update(serp_dir=None))
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "gold", QUERY, "--config", config, "--out", str(out))
+    assert (code, stdout, err) == (
+        1, "", "error: gold generation needs a SERP fixture directory (paths.serp_dir)\n"
+    )
+    assert crawled == []
+    assert not out.exists()
+
+
+def test_gold_reads_weights_and_seed_from_the_config(tmp_path, capsys, monkeypatch):
+    searched = []
+    search = FixtureEngineAdapter.search
+
+    def recording_search(self, engine_id, query, limit):
+        searched.append((engine_id, query))
+        return search(self, engine_id, query, limit)
+
+    monkeypatch.setattr(FixtureEngineAdapter, "search", recording_search)
+
+    def gold(name, edit):
+        searched.clear()
+        (tmp_path / name).mkdir()
+        config = fixture_config_copy(tmp_path / name, edit)
+        code, _, err = run_cli(capsys, "gold", QUERY, "--config", config,
+                               "--out", str(tmp_path / name / "out"))
+        assert code == 0
+        return list(searched), err.splitlines()
+
+    paper, paper_err = gold("paper", lambda data: None)
+    assert (len(paper), paper_err) == (30, [])  # 5 engines x 6 sources
+
+    # Each engine searches the six sources in turn; without thesaurus
+    # weights it searches the three graph sources' variants only.
+    weights = {"degree": 20, "closeness": 30, "pagerank": 20}
+    graph, graph_err = gold("graph", lambda data: data.update(weights=weights))
+    assert (graph, graph_err) == ([s for i, s in enumerate(paper) if i % 6 < 3], [])
+
+    # The fixture SERPs hold the variants of seed 0, and the seed shuffles
+    # only Moby's synonyms: with seed 7 every engine misses the Moby variant.
+    seeded, seeded_err = gold("seed", lambda data: data.update(seed=7))
+    changed = [i for i, (old, new) in enumerate(zip(paper, seeded)) if old != new]
+    assert (len(seeded), changed) == (30, [i for i in range(30) if i % 6 == 5])
+    assert [line.split(": no SERP fixture")[0] for line in seeded_err] == [
+        f"engine failure: {engine}/moby" for engine in ("google", "lycos", "bing", "ask", "exalead")
+    ]
 
 
 def test_gold_without_engines_errors(tmp_path, capsys):
@@ -420,6 +463,23 @@ def test_eval_writes_out_file(tmp_path, capsys):
     )
     assert code == 0
     assert out_file.read_text().startswith("query,method,metric,cutoff,value")
+
+
+def test_eval_skips_run_files_without_a_method_or_a_gold_file(tmp_path, capsys):
+    urls = ["https://u/1"]
+    runs, gold_dir = make_eval_dirs(tmp_path, urls, urls)
+    code, clean, err = run_cli(capsys, "eval", "--runs", str(runs), "--gold", str(gold_dir))
+    assert (code, err) == (0, "")
+    (runs / "plain.urls").write_text("https://u/1\n")
+    (runs / "q_x__graph.urls").write_text("https://u/1\n")
+    code, out, err = run_cli(capsys, "eval", "--runs", str(runs), "--gold", str(gold_dir))
+    assert code == 0
+    assert err == (
+        "skipping plain.urls: expected <query>__<method>.urls\n"
+        "skipping q_x__graph.urls: no gold file q_x.urls\n"
+    )
+    assert out == clean
+    assert ",graph,P,3,1\n" in out
 
 
 def test_eval_skips_undecodable_run_file_and_scores_the_rest(tmp_path, capsys):
@@ -715,6 +775,7 @@ WEIGHT_FLAGS = [("--preset", "tuned"), ("--weights", "1,2,3"), ("--seed", "7")]
 @pytest.mark.parametrize(
     "argv, flag",
     [(["expand", QUERY, "--config", CONFIG], f) for f in WEIGHT_FLAGS]
+    + [(["gold", QUERY, "--config", CONFIG], f) for f in WEIGHT_FLAGS]
     + [(["bench", "--queries", str(FIXTURES / "queries.txt"), "--config", CONFIG], f)
        for f in WEIGHT_FLAGS]
     + [(["eval", "--runs", ".", "--gold", "."], f)
@@ -740,12 +801,17 @@ def test_benchmark_queries_shape():
     assert "programming or algorithm" in queries
 
 
-def test_config_presets_round_trip():
-    for preset in ("paper", "tuned"):
-        config = RunConfig()
-        config.apply_preset(preset)
-        clone = RunConfig.from_dict(config.to_dict())
-        assert clone.to_dict() == config.to_dict()
+def test_config_save_then_load_round_trips(tmp_path):
+    config = RunConfig(weights=KnowledgeWeights(degree=20, closeness=30, pagerank=20),
+                       output_dir=tmp_path / "out", seed=7)
+    path = tmp_path / "config.json"
+    config.save(path)
+    loaded = RunConfig.load(path)
+    assert (loaded.weights, loaded.seed) == (config.weights, 7)
+    assert loaded.to_dict() == config.to_dict()
+    assert json.loads(path.read_text())["weights"] == {
+        "degree": 20, "closeness": 30, "pagerank": 20, "wordnet": 0, "wikisynonyms": 0, "moby": 0
+    }
 
 
 def test_config_without_weights_uses_six_source_split():

@@ -170,8 +170,7 @@ def test_every_public_name_is_its_defining_modules_binding():
 def test_fusion_keeps_the_configuration_types_of_config():
     from wikiqe import config, fusion
 
-    for name in ("EngineConfig", "KnowledgeWeights", "DEFAULT_ENGINES",
-                 "SIX_SOURCE_WEIGHTS", "GRAPH_TUNED_WEIGHTS"):
+    for name in ("EngineConfig", "KnowledgeWeights", "DEFAULT_ENGINES", "SIX_SOURCE_WEIGHTS"):
         assert name in fusion.__all__
         assert getattr(fusion, name) is getattr(config, name)
 

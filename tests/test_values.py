@@ -163,7 +163,7 @@ def test_other_value_types_are_unhashable(cls, args, kwargs, defaults):
 def test_run_config_fields_can_be_assigned():
     config = RunConfig()
     config.snapshot_dir = Path("elsewhere")
-    config.apply_preset("tuned")
+    config.weights = KnowledgeWeights(degree=20, closeness=30, pagerank=20)
     assert (config.snapshot_dir, config.weights.as_map()["closeness"]) == (Path("elsewhere"), 30)
 
 
