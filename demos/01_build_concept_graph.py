@@ -8,11 +8,11 @@ the query's semantic neighborhood.
 
 from pathlib import Path
 
-from wikiqe import CrawlConfig, WikiSource
+from wikiqe import CrawlConfig, PageCache, WikiSource
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
-source = WikiSource.from_env(snapshot_dir=FIXTURES / "snapshot")
+source = WikiSource(PageCache(FIXTURES / "snapshot"))
 config = CrawlConfig(hop_bound=3, max_links_per_page=100, candidate_count=5)
 
 query = "adolescent alcoholism"

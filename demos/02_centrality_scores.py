@@ -8,12 +8,12 @@ list and the three lists feed the expansion step.
 
 from pathlib import Path
 
-from wikiqe import CrawlConfig, PageRankParams, WikiSource, build_table
+from wikiqe import CrawlConfig, PageCache, PageRankParams, WikiSource, build_table
 from wikiqe.centrality import ranked_prefix
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
-source = WikiSource.from_env(snapshot_dir=FIXTURES / "snapshot")
+source = WikiSource(PageCache(FIXTURES / "snapshot"))
 graph = source.build_graph("adolescent alcoholism", CrawlConfig(hop_bound=3))
 best = graph.select_best_concept()
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from wikiqe import (
     CrawlConfig,
+    PageCache,
     SynonymDictionary,
     WikiSource,
     build_table,
@@ -22,7 +23,7 @@ from wikiqe import (
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 query = "adolescent and alcoholism"
 
-source = WikiSource.from_env(snapshot_dir=FIXTURES / "snapshot")
+source = WikiSource(PageCache(FIXTURES / "snapshot"))
 graph = source.build_graph(query, CrawlConfig(hop_bound=3))
 table = build_table(graph.select_best_concept())
 

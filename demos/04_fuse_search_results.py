@@ -11,6 +11,7 @@ from pathlib import Path
 from wikiqe import (
     CrawlConfig,
     FixtureEngineAdapter,
+    PageCache,
     WikiSource,
     build_table,
     engine_weight,
@@ -30,7 +31,7 @@ for engine in DEFAULT_ENGINES:
 
 # Each knowledge source contributes its own expanded query: the three
 # graph rankings plus the three thesauruses, ten terms each.
-source = WikiSource.from_env(snapshot_dir=FIXTURES / "snapshot")
+source = WikiSource(PageCache(FIXTURES / "snapshot"))
 graph = source.build_graph(query, CrawlConfig(hop_bound=3))
 table = build_table(graph.select_best_concept())
 dictionaries = {

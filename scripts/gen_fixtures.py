@@ -18,7 +18,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from wikiqe.centrality import build_table  # noqa: E402
-from wikiqe.config import BASIC_QUERIES, RunConfig, benchmark_queries  # noqa: E402
+from wikiqe.config import RunConfig  # noqa: E402
 from wikiqe.fusion import (  # noqa: E402
     DEFAULT_ENGINES,
     SIX_SOURCE_WEIGHTS,
@@ -26,6 +26,7 @@ from wikiqe.fusion import (  # noqa: E402
     serp_fixture_name,
 )
 from wikiqe.ingest import CrawlConfig, PageCache, PageRecord, WikiSource, search_key  # noqa: E402
+from wikiqe.text import BASIC_QUERIES, benchmark_queries  # noqa: E402
 
 FIXTURES = REPO / "fixtures"
 SERP_LENGTH = 200

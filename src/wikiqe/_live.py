@@ -1,5 +1,5 @@
 """The live crawl's MediaWiki client, request pacer and link scanner, which
-no snapshot run imports: ``WikiSource.from_env`` loads them for a live source.
+no snapshot run imports: the CLI loads them only to build a live source.
 
 Links come from :func:`_article_links`, a scanner that visits only the
 markup that decides which links an HTML tokenizer reports: ``<a`` start
@@ -18,8 +18,9 @@ import threading
 import time
 
 from .graph import normalize_title
-from .ingest import DEFAULT_API_URL, FetchError, IngestError, PageRecord, _check_interval, _page_title
+from .ingest import FetchError, IngestError, PageRecord, _check_interval, _page_title
 
+DEFAULT_API_URL = "https://en.wikipedia.org/w/api.php"
 USER_AGENT = "wikiqe/0.1 (concept-graph query expansion; offline-cache crawler)"
 
 # Namespace prefixes whose /wiki/ links are not articles.

@@ -54,12 +54,18 @@ def _stopwords(config: RunConfig):
 
 
 def _source(config: RunConfig) -> WikiSource:
-    from .ingest import WikiSource
+    """A snapshot source if the config names a snapshot directory (IngestError
+    if it is not one), else a live source caching in ``~/.cache/wikiqe``."""
+    from .ingest import IngestError, PageCache, WikiSource
 
-    return WikiSource.from_env(
-        snapshot_dir=config.snapshot_dir,
-        request_interval=config.crawl.request_interval,
-    )
+    if config.snapshot_dir:
+        if not config.snapshot_dir.is_dir():
+            raise IngestError(f"snapshot {config.snapshot_dir}: not a directory")
+        return WikiSource(PageCache(config.snapshot_dir))
+    from ._live import WikiClient
+
+    client = WikiClient(request_interval=config.crawl.request_interval)
+    return WikiSource(PageCache(Path.home() / ".cache" / "wikiqe"), client)
 
 
 def _best_table(config: RunConfig, graph):
@@ -251,7 +257,7 @@ def cmd_queries(args) -> int:
 
 def _add_run_config(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON run-config file")
-    parser.add_argument("--snapshot", help="snapshot directory (overrides WMS_SNAPSHOT_DIR)")
+    parser.add_argument("--snapshot", help="snapshot directory (overrides paths.snapshot_dir)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,9 +18,8 @@ from ._value import FrozenValue, Value, as_dict, fields
 from .centrality import PageRankParams
 from .expand import KNOWLEDGE_SOURCES, THESAURUS_SOURCES
 from .ingest import CrawlConfig
-# Re-exported from text: the benchmark workloads and the fixture generator
-# import them from here.
-from .text import BASIC_QUERIES, benchmark_queries, query_slug
+# Re-exported from text: benchmark/workloads.py imports them from here.
+from .text import BASIC_QUERIES, query_slug
 
 __all__ = [
     "ConfigError",
@@ -30,7 +29,6 @@ __all__ = [
     "DEFAULT_ENGINES",
     "SIX_SOURCE_WEIGHTS",
     "BASIC_QUERIES",
-    "benchmark_queries",
     "query_slug",
 ]
 

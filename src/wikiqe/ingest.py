@@ -7,7 +7,8 @@ Works in two modes behind one facade:
   client and its link scanner live in ``_live``, which only a live source
   imports.
 * snapshot -- the same cache layout, pre-populated; zero network traffic.
-  Selected by passing a snapshot directory or via ``WMS_SNAPSHOT_DIR``.
+  A source with a cache and no client, as the CLI builds for ``--snapshot``
+  or ``paths.snapshot_dir``.
 
 Cache layout under the root directory, addressed by the key itself::
 
@@ -45,12 +46,7 @@ __all__ = [
     "search_key",
     "WikiClient",
     "WikiSource",
-    "SNAPSHOT_ENV",
-    "DEFAULT_API_URL",
 ]
-
-SNAPSHOT_ENV = "WMS_SNAPSHOT_DIR"
-DEFAULT_API_URL = "https://en.wikipedia.org/w/api.php"
 
 
 def __getattr__(name):
@@ -141,22 +137,31 @@ def _page_title(title: str) -> str:
     return page
 
 
-# The JSON type of each cache record field, as error messages name it. The
-# key field (``title`` or ``query``) is checked against the key itself.
-_FIELD_TYPES = {
-    "outlinks": (list, "a list of strings"), "results": (list, "a list of strings"),
-    "source": (str, "a string"), "fetched_at": ((int, float), "a number"),
-    "missing": (bool, "true or false"), "disambiguation": (bool, "true or false"),
+# Each cache record kind's fields, with the JSON type of each as error messages
+# name it; the key field is also checked against the key itself. A page record
+# may leave out the fields that PageRecord gives a default (_OPTIONAL).
+_STRINGS, _FLAG = (list, "a list of strings"), (bool, "true or false")
+_FIELDS = {
+    "pages": {"title": (str, "a string"), "outlinks": _STRINGS, "fetched_at": ((int, float), "a number"),
+              "source": (str, "a string"), "missing": _FLAG, "disambiguation": _FLAG},
+    "searches": {"query": (str, "a string"), "results": _STRINGS},
 }
+_OPTIONAL = {"missing", "disambiguation"}
 
 
-def _mistyped_field(data: dict) -> str | None:
-    """What is wrong with the first field of a cache record that has the wrong type."""
+def _field_problem(data: dict, fields: dict) -> str | None:
+    """What is wrong with a cache record's fields: the first that is unknown
+    or has the wrong type, else the first required one it lacks."""
     for name, value in data.items():
-        kind, wanted = _FIELD_TYPES.get(name, (object, ""))
+        try:
+            kind, wanted = fields[name]
+        except KeyError:
+            return f"unknown field {name!r}"
         if not isinstance(value, kind) or (kind is list and not all(map(isinstance, value, repeat(str)))):
             return f"{name} must be {wanted}, not {json.dumps(value)}"
-    return None
+    # Each field the record has is known, so one with fewer than its kind lacks some.
+    missing = len(data) < len(fields) and [n for n in fields if n not in data and n not in _OPTIONAL]
+    return f"missing field {missing[0]!r}" if missing else None
 
 
 def _hashed(name: str) -> str:
@@ -186,9 +191,9 @@ class PageCache:
     """On-disk store of page records and search results, one file per key.
 
     A missing file is a cache miss. A file that cannot be read, does not
-    parse, holds a different key, or has a field of the wrong type (say,
-    ``outlinks`` that is not a list of strings) raises :class:`IngestError`
-    naming the file.
+    parse, holds a different key, lacks a field, has one its kind does not
+    have, or has one of the wrong type (say, ``outlinks`` that is not a list
+    of strings) raises :class:`IngestError` naming the file.
     """
 
     def __init__(self, root: str | Path):
@@ -233,12 +238,9 @@ class PageCache:
             raise IngestError(f"unreadable cache record {path}: {exc.strerror or exc}") from None
         if not isinstance(data, dict) or data.get(key_field) != key:
             raise IngestError(f"cache record {path} does not hold the {key_field} {key!r}")
-        if problem := _mistyped_field(data):
+        if problem := _field_problem(data, _FIELDS[kind]):
             raise IngestError(f"malformed cache record {path}: {problem}")
-        try:
-            return build(data)
-        except (KeyError, TypeError) as exc:
-            raise IngestError(f"malformed cache record {path}: {exc!r}") from None
+        return build(data)
 
 
 class WikiSource:
@@ -252,28 +254,6 @@ class WikiSource:
     def __init__(self, cache: PageCache, client: WikiClient | None = None):
         self.cache = cache
         self.client = client
-
-    @classmethod
-    def from_env(
-        cls,
-        snapshot_dir: str | Path | None = None,
-        cache_dir: str | Path | None = None,
-        api_url: str = DEFAULT_API_URL,
-        request_interval: float = 0.5,
-    ) -> "WikiSource":
-        """Snapshot mode when a snapshot dir is given (argument wins over the
-        WMS_SNAPSHOT_DIR environment variable); live mode otherwise. A
-        snapshot path that is not a directory raises :class:`IngestError`."""
-        snapshot = snapshot_dir or os.environ.get(SNAPSHOT_ENV)
-        if snapshot:
-            if not os.path.isdir(snapshot):
-                raise IngestError(f"snapshot {snapshot}: not a directory")
-            return cls(PageCache(snapshot))
-        from ._live import WikiClient
-
-        cache = PageCache(cache_dir or Path.home() / ".cache" / "wikiqe")
-        client = WikiClient(api_url=api_url, request_interval=request_interval)
-        return cls(cache, client)
 
     @property
     def network_calls(self) -> int:

@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 from conftest import hashed_name
-from wikiqe.cli import main
-from wikiqe.config import ConfigError, RunConfig, benchmark_queries, query_slug
+from wikiqe.cli import _source, main
+from wikiqe.config import ConfigError, RunConfig
 from wikiqe.fusion import SIX_SOURCE_WEIGHTS, FixtureEngineAdapter, KnowledgeWeights
 from wikiqe.ingest import PageCache, PageRecord, WikiClient, WikiSource, search_key
+from wikiqe.text import benchmark_queries, query_slug
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -117,6 +118,20 @@ def test_snapshot_that_is_not_a_directory_is_an_error(tmp_path, capsys, make):
         "--out", str(tmp_path / "out"),
     )
     assert (code, out, err) == (1, "", f"error: snapshot {snapshot}: not a directory\n")
+    # From the config: loading it names a missing path; it passes a file,
+    # which the source then names the same way.
+    config = fixture_config_copy(tmp_path, lambda data: data["paths"].update(snapshot_dir=str(snapshot)))
+    code, out, err = run_cli(capsys, "expand", QUERY, "--config", config, "--out", str(tmp_path / "out"))
+    problem = (f"snapshot {snapshot}: not a directory" if snapshot.exists()
+               else f"{config}: configured path snapshot_dir does not exist: {snapshot}")
+    assert (code, out, err) == (1, "", f"error: {problem}\n")
+
+
+def test_a_run_without_a_snapshot_is_live_whatever_the_environment(monkeypatch):
+    # A run's snapshot shows in its argv or its config: the WMS_SNAPSHOT_DIR
+    # variable that once selected one unseen is ignored.
+    monkeypatch.setenv("WMS_SNAPSHOT_DIR", str(FIXTURES / "snapshot"))
+    assert _source(RunConfig()).client is not None
 
 
 def test_stale_index_json_in_snapshot_is_ignored(tmp_path, capsys):
@@ -225,10 +240,8 @@ def test_gold_writes_fused_csv(tmp_path, capsys):
 
 
 def test_shipped_snapshot_resolves_reference_candidate():
-    from wikiqe.ingest import WikiSource
-
     config = RunConfig.load(CONFIG)
-    source = WikiSource.from_env(snapshot_dir=config.snapshot_dir)
+    source = WikiSource(PageCache(config.snapshot_dir))
     candidates = source.resolve_candidates(QUERY, config.crawl)
     assert "alcohol consumption by youth in the united states" in candidates
 

@@ -24,7 +24,7 @@ from wikiqe.expand import (
     term_lists,
     thesaurus_expand,
 )
-from wikiqe.ingest import WikiSource, search_key
+from wikiqe.ingest import PageCache, WikiSource, search_key
 from wikiqe.text import default_stopwords, load_stopwords
 
 from conftest import fixture_root_subgraphs, make_subgraph
@@ -354,7 +354,7 @@ def test_top_k_matches_full_sort_on_tied_graphs():
 
 def test_top_k_matches_full_sort_on_every_fixture_query():
     config = RunConfig.load(FIXTURES / "config.json")
-    source = WikiSource.from_env(snapshot_dir=config.snapshot_dir)
+    source = WikiSource(PageCache(config.snapshot_dir))
     stopwords = default_stopwords()
     tables = {}
     for query in (FIXTURES / "queries.txt").read_text(encoding="utf-8").splitlines():

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from wikiqe import PageCache, RunConfig, WikiClient, WikiSource
-from wikiqe.config import benchmark_queries
 from wikiqe.graph import _FORBIDDEN, GraphError, OntologyGraph, normalize_title
+from wikiqe.text import benchmark_queries
 
 from conftest import bfs_hops, random_adjacency
 from reference_links import synthetic_wiki

@@ -77,9 +77,10 @@ def test_bench_loads_neither_fusion_nor_metrics(tmp_path):
     assert not loaded & {"wikiqe.fusion", "wikiqe.metrics", "dataclasses"}
 
 
-# The live client, its pacer and link scanner, and OpenSSL's hash module
-# (file names are hashed with CPython's builtin sha256) serve only a live crawl.
-LIVE_ONLY = {"wikiqe._live", "hashlib", "_hashlib"}
+# The live client, its pacer and link scanner, the HTTP library it sends
+# requests with, and OpenSSL's hash module (file names are hashed with
+# CPython's builtin sha256) serve only a live crawl.
+LIVE_ONLY = {"wikiqe._live", "requests", "hashlib", "_hashlib"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -95,12 +96,12 @@ def test_snapshot_commands_load_no_live_crawl_code(tmp_path, argv):
 
 
 def test_a_live_source_loads_the_live_client(tmp_path):
-    from wikiqe.ingest import SNAPSHOT_ENV
-
-    code = (f"import os\nos.environ.pop({SNAPSHOT_ENV!r}, None)\n"
-            "from wikiqe.ingest import WikiSource\n"
-            f"assert WikiSource.from_env(cache_dir={str(tmp_path)!r}).client is not None")
-    assert "wikiqe._live" in loaded_after(tmp_path, code)
+    # requests loads with the first request, not with the client.
+    code = ("from wikiqe.cli import _source\nfrom wikiqe.config import RunConfig\n"
+            "assert _source(RunConfig()).client is not None")
+    loaded = loaded_after(tmp_path, code)
+    assert "wikiqe._live" in loaded
+    assert "requests" not in loaded
 
 
 def test_ingest_wiki_client_is_the_live_client():

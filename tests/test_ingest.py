@@ -7,7 +7,6 @@ import pytest
 
 from conftest import hashed_name
 from wikiqe.ingest import (
-    SNAPSHOT_ENV,
     CrawlConfig,
     FetchError,
     IngestError,
@@ -195,6 +194,40 @@ def test_cache_record_with_a_mistyped_field_raises_ingest_error_naming_file(
     assert str(caught.value) == f"malformed cache record {path}: {message}"
 
 
+PAGE = {"title": "ethanol", "outlinks": ["a"], "fetched_at": 7.0, "source": "live"}
+
+
+@pytest.mark.parametrize("kind, record, problem", [
+    # The page ones used to surface PageRecord's TypeError, the search one a
+    # KeyError; a search record took an unknown field, and read a page field.
+    pytest.param("pages", {"title": "ethanol"}, "missing field 'outlinks'", id="page-missing"),
+    pytest.param("pages", {**PAGE, "extra": 1}, "unknown field 'extra'", id="page-unknown"),
+    pytest.param("searches", {"query": "ethanol"}, "missing field 'results'", id="search-missing"),
+    pytest.param("searches", {"query": "ethanol", "results": [], "extra": 1},
+                 "unknown field 'extra'", id="search-unknown"),
+    pytest.param("searches", {"query": "ethanol", "results": [], "outlinks": 5},
+                 "unknown field 'outlinks'", id="search-with-a-page-field"),
+])
+def test_cache_record_with_a_missing_or_unknown_field_raises_ingest_error_naming_file(
+    tmp_path, kind, record, problem
+):
+    cache = PageCache(tmp_path)
+    path = tmp_path / kind / hashed_name("ethanol")
+    path.parent.mkdir()
+    path.write_text(json.dumps(record), encoding="utf-8")
+    get = cache.get_page if kind == "pages" else cache.get_search
+    with pytest.raises(IngestError) as caught:
+        get("ethanol")
+    assert str(caught.value) == f"malformed cache record {path}: {problem}"
+
+
+def test_a_page_record_may_leave_out_the_fields_with_a_default(tmp_path):
+    path = tmp_path / "pages" / hashed_name("ethanol")
+    path.parent.mkdir()
+    path.write_text(json.dumps(PAGE), encoding="utf-8")
+    assert PageCache(tmp_path).get_page("ethanol") == PageRecord("ethanol", ["a"], 7.0, "live")
+
+
 def test_every_fixture_record_resolves_through_its_hashed_path():
     cache = PageCache(SNAPSHOT)
     pages = sorted((SNAPSHOT / "pages").iterdir())
@@ -251,24 +284,6 @@ def test_snapshot_mode_makes_zero_network_calls(tmp_path, monkeypatch):
     graph = source.build_graph("adolescent alcoholism", CrawlConfig(hop_bound=2))
     assert graph.node_count == 2
     assert source.network_calls == 0
-
-
-def test_env_var_selects_snapshot_mode(tmp_path, monkeypatch):
-    make_snapshot(tmp_path, pages={"x": []})
-    monkeypatch.setenv(SNAPSHOT_ENV, str(tmp_path))
-    source = WikiSource.from_env()
-    assert source.client is None
-
-
-@pytest.mark.parametrize("via_env", [False, True], ids=["argument", "env"])
-def test_snapshot_path_that_is_not_a_directory_is_an_error(tmp_path, monkeypatch, via_env):
-    (tmp_path / "a-file").write_text("x\n")
-    monkeypatch.delenv(SNAPSHOT_ENV, raising=False)
-    for snapshot in (tmp_path / "missing", tmp_path / "a-file"):
-        if via_env:
-            monkeypatch.setenv(SNAPSHOT_ENV, str(snapshot))
-        with pytest.raises(IngestError, match=f"^snapshot {snapshot}: not a directory$"):
-            WikiSource.from_env(snapshot_dir=None if via_env else snapshot)
 
 
 # ---------------------------------------------------------------------------
@@ -612,27 +627,21 @@ def test_request_pacing_with_mock_clock():
     (float("inf"), "request_interval must be finite, got inf"),
     (-5, "request_interval must be >= 0, got -5"),
 ], ids=["nan", "inf", "negative"])
-def test_client_takes_a_request_interval_under_the_crawl_config_rule(
-    tmp_path, monkeypatch, interval, message
-):
+def test_client_takes_a_request_interval_under_the_crawl_config_rule(interval, message):
     # A NaN interval used to construct, and the pacer then never slept.
-    monkeypatch.delenv(SNAPSHOT_ENV, raising=False)
     for build in (
         lambda: CrawlConfig(request_interval=interval),
         lambda: WikiClient(request_interval=interval),
-        lambda: WikiSource.from_env(cache_dir=tmp_path, request_interval=interval),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             build()
 
 
-def test_an_interval_too_large_for_a_float_is_rejected_before_any_request(tmp_path, monkeypatch):
+def test_an_interval_too_large_for_a_float_is_rejected_before_any_request():
     # Taken, it would make every paced request raise OverflowError.
-    monkeypatch.delenv(SNAPSHOT_ENV, raising=False)
     for build in (
         lambda: CrawlConfig(request_interval=10**400),
         lambda: WikiClient(request_interval=10**400, transport=lambda params: parse_payload()),
-        lambda: WikiSource.from_env(cache_dir=tmp_path, request_interval=10**400),
     ):
         with pytest.raises(ValueError, match="^request_interval must be finite, got an integer "
                                              "too large for a float$"):
