@@ -18,7 +18,8 @@ from wikiqe import (
     run_mse,
     wbf_merge,
 )
-from wikiqe.fusion import DEFAULT_ENGINES, SIX_SOURCE_WEIGHTS, gold_variants
+from wikiqe.config import DEFAULT_ENGINES, SIX_SOURCE_WEIGHTS
+from wikiqe.fusion import gold_variants
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 query = "adolescent alcoholism"

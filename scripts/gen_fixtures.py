@@ -18,13 +18,8 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from wikiqe.centrality import build_table  # noqa: E402
-from wikiqe.config import RunConfig  # noqa: E402
-from wikiqe.fusion import (  # noqa: E402
-    DEFAULT_ENGINES,
-    SIX_SOURCE_WEIGHTS,
-    gold_variants,
-    serp_fixture_name,
-)
+from wikiqe.config import DEFAULT_ENGINES, SIX_SOURCE_WEIGHTS, RunConfig  # noqa: E402
+from wikiqe.fusion import gold_variants, serp_fixture_name  # noqa: E402
 from wikiqe.ingest import CrawlConfig, PageCache, PageRecord, WikiSource, search_key  # noqa: E402
 from wikiqe.text import BASIC_QUERIES, benchmark_queries  # noqa: E402
 

@@ -162,7 +162,9 @@ class WikiClient:
         response.raise_for_status()
         return response.json()
 
-    def _call(self, params: dict) -> dict:
+    def _call(self, params: dict, kind: str, subject: str) -> dict:
+        """The API's answer to ``params``; a FetchError naming the ``kind``
+        of request and its ``subject`` once every attempt has failed."""
         last_error = None
         for attempt in range(self.max_retries):
             self._pacer.wait()
@@ -173,7 +175,8 @@ class WikiClient:
                 last_error = exc
                 if attempt + 1 < self.max_retries:
                     self._sleep(min(2.0 ** attempt, 8.0))
-        raise FetchError(f"request failed after {self.max_retries} attempts: {last_error}")
+        raise FetchError(f"request for {kind} {subject!r} failed after "
+                         f"{self.max_retries} attempts: {last_error}")
 
     def search(self, query: str, limit: int) -> list[str]:
         """Top article titles for a search string, normalized, best first. A
@@ -185,7 +188,7 @@ class WikiClient:
             "srnamespace": 0,
             "srlimit": limit,
             "format": "json",
-        })
+        }, "search", query)
         results = data.get("query", {}) if isinstance(data, dict) else None
         hits = results.get("search", []) if isinstance(results, dict) else None
         if not isinstance(hits, list):
@@ -213,7 +216,7 @@ class WikiClient:
             "prop": "text|properties",
             "redirects": 1,
             "format": "json",
-        })
+        }, "page", title)
 
         def malformed(problem: str) -> FetchError:
             return FetchError(f"malformed parse response for {title!r}: {problem}")

@@ -33,26 +33,27 @@ node at distance d, in increasing d, one rounded add after another from
 int 0 -- the bits the builtin ``sum`` gives before CPython 3.12, on every
 interpreter. As the sweep finds level d, one ``_add_run`` call adds its
 count_d terms 1/d to each growing node's running sum: exactly the float
-of those adds, without adding term by term. Inside one binade (the
-floats between two powers of two are evenly spaced) an add of the same
-term moves the sum by the same rounded step, so a run of adds is one
-exact multiply-add per binade, with single adds at binade crossings and
-at round-half-even ties, and a run none of whose adds rounds is a single
-add. A node with thousands of nodes in reach costs a few dozen float
-operations instead of thousands of adds.
+of those adds, without adding term by term. The sum is never negative
+and every term is positive, so a run only ever climbs. A run none of
+whose adds rounds is a single exact add. Otherwise, inside one binade
+(the floats between two powers of two are evenly spaced) an add of the
+same term moves the sum by the same rounded step, so a run of adds is
+one exact multiply-add per binade, with single adds at binade crossings
+and at round-half-even ties. A node with thousands of nodes in reach
+costs a few dozen float operations instead of thousands of adds.
 
 PageRank scatters each iteration edge by edge: every node starts at
 ``base``, and each source with outlinks adds its share to its targets by
 ``+=``, in node order and then in the order its edges list them. The
-dangling mass and the L1 change are the builtin ``sum``, which is
-compensated from CPython 3.12 on, so PageRank's low bits differ between
-interpreters before and after 3.12.
+dangling mass and the L1 change are ``math.fsum``, the correctly rounded
+sum (Shewchuk 1997), so PageRank too gives the same bits on every
+interpreter.
 """
 
 from __future__ import annotations
 
 import heapq
-from math import frexp, isfinite, ldexp
+from math import frexp, fsum, ldexp
 from operator import sub
 
 from ._value import FrozenValue, Value
@@ -171,50 +172,34 @@ def closeness(subgraph: ConceptSubgraph) -> dict[str, float]:
 # exact run sums
 # ---------------------------------------------------------------------------
 
-def _steady_adds(acc, x: float, t: float, n: int) -> int:
-    """How many of ``n`` float adds of ``x`` to ``acc`` each move it by the
-    first add's step ``t - acc`` (``t == acc + x``); at least 1.
-
-    Inside one binade [2**(e-1), 2**e) the floats are evenly spaced, so an
-    add of ``x`` rounds to the same step wherever it starts, unless ``x`` is
-    a tie at that spacing; then round-half-even fixes the step from the
-    second add on. So when the second add repeats the first step, every add
-    that lands strictly inside the binade repeats it too. ``|x| <= |acc|``
-    keeps ``t - acc`` exact.
-    """
-    step = t - acc
-    if n < 2 or abs(x) > abs(acc) or t + x - t != step:
-        return 1  # one add, x outweighing acc, a tie or a crossing: add singly
-    m, e = frexp(acc)  # acc == m * 2**e, 0.5 <= |m| < 1
-    if (m > 0) == (step > 0):  # away from zero: up to the binade's top
-        room = ldexp(1.0 - abs(m), e)
-    else:  # toward zero: down to its bottom, below which the spacing halves
-        room = ldexp(abs(m) - 0.5, e)
-    # The most adds that land strictly inside: never on the edge itself.
-    return max(1, min(n, int(-(-room // abs(step))) - 1))
-
-
 def _add_run(acc, x: float, n: int):
-    """``acc`` after ``n`` sequential ``acc += x``, float for float."""
+    """``acc`` after ``n`` sequential ``acc += x``, float for float, for
+    ``acc >= 0`` (int 0 before level 1), ``x >= 0`` and a finite sum."""
     while n:
+        # On the finest grid of acc and x, every partial sum is an integer
+        # from the first to the last: if the last fits in 53 bits, no add
+        # rounds, and the run is one exact sum.
+        a, p = acc.as_integer_ratio()
+        b, q = x.as_integer_ratio()
+        if p < q:
+            a, p = a * (q // p), q
+        else:
+            b *= p // q
+        last = a + n * b
+        if last <= 1 << 53:
+            return last / p
         t = acc + x
         if t == acc:  # x no longer moves acc, and never will
             return t
-        if isfinite(t):
-            # On the finest grid of acc and x, every partial sum is an
-            # integer between the first and the last: if both fit in 53
-            # bits, no add rounds, and the run is one exact sum.
-            a, p = acc.as_integer_ratio()
-            b, q = x.as_integer_ratio()
-            if p < q:
-                a, p = a * (q // p), q
-            else:
-                b *= p // q
-            last = a + n * b
-            if max(abs(a), abs(last)) <= 1 << 53:
-                return last / p
-        k = _steady_adds(acc, x, t, n)
-        acc = acc + k * (t - acc) if k > 1 else t  # k * step is exact
+        # Unless x is a tie at the spacing of acc's binade [2**(e-1), 2**e),
+        # which the second add shows, every add that lands below the
+        # binade's top repeats the first step. x <= acc keeps it exact.
+        step = t - acc
+        k = 1
+        if n > 1 and x <= acc and t + x - t == step:
+            m, e = frexp(acc)  # acc == m * 2**e, 0.5 <= m < 1
+            k = max(1, min(n, int(-(-ldexp(1.0 - m, e) // step)) - 1))
+        acc = acc + k * step if k > 1 else t  # k * step is exact
         n -= k
     return acc
 
@@ -242,13 +227,13 @@ def pagerank(subgraph: ConceptSubgraph, params: PageRankParams | None = None) ->
     converged = False
     iterations = 0
     for iterations in range(1, params.max_iterations + 1):
-        base = (1.0 - d) / n + d * sum(map(rank.__getitem__, dangling)) / n
+        base = (1.0 - d) / n + d * fsum(map(rank.__getitem__, dangling)) / n
         nxt = [base] * n
         for i, out in linked:
             share = d * rank[i] / len(out)
             for v in out:
                 nxt[v] += share
-        delta = sum(map(abs, map(sub, nxt, rank)))
+        delta = fsum(map(abs, map(sub, nxt, rank)))
         rank = nxt
         if delta < params.tolerance:
             converged = True

@@ -22,12 +22,7 @@ from pathlib import Path
 
 from ._value import Value
 from .centrality import CentralityTable
-from .config import (
-    DEFAULT_ENGINES,
-    SIX_SOURCE_WEIGHTS,
-    EngineConfig,
-    KnowledgeWeights,
-)
+from .config import EngineConfig, KnowledgeWeights
 from .expand import (
     KNOWLEDGE_SOURCES,
     SynonymDictionary,
@@ -40,8 +35,6 @@ from .text import _sha256_hex
 __all__ = [
     "FusionError",
     "EngineError",
-    "EngineConfig",
-    "KnowledgeWeights",
     "ResultList",
     "FusedList",
     "MseResult",
@@ -52,8 +45,6 @@ __all__ = [
     "gold_variants",
     "FixtureEngineAdapter",
     "serp_fixture_name",
-    "DEFAULT_ENGINES",
-    "SIX_SOURCE_WEIGHTS",
     "GOLD_M",
 ]
 

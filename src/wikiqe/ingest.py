@@ -139,7 +139,8 @@ def _page_title(title: str) -> str:
 
 # Each cache record kind's fields, with the JSON type of each as error messages
 # name it; the key field is also checked against the key itself. A page record
-# may leave out the fields that PageRecord gives a default (_OPTIONAL).
+# may leave out the fields that PageRecord gives a default (_OPTIONAL). Python's
+# bool is an int, but true or false is no number: only a bool field takes one.
 _STRINGS, _FLAG = (list, "a list of strings"), (bool, "true or false")
 _FIELDS = {
     "pages": {"title": (str, "a string"), "outlinks": _STRINGS, "fetched_at": ((int, float), "a number"),
@@ -157,7 +158,8 @@ def _field_problem(data: dict, fields: dict) -> str | None:
             kind, wanted = fields[name]
         except KeyError:
             return f"unknown field {name!r}"
-        if not isinstance(value, kind) or (kind is list and not all(map(isinstance, value, repeat(str)))):
+        if (not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
+                or (kind is list and not all(map(isinstance, value, repeat(str))))):
             return f"{name} must be {wanted}, not {json.dumps(value)}"
     # Each field the record has is known, so one with fewer than its kind lacks some.
     missing = len(data) < len(fields) and [n for n in fields if n not in data and n not in _OPTIONAL]

@@ -53,13 +53,18 @@ def reference_links(html: str) -> list[str]:
     return extractor.links
 
 
-def synthetic_wiki(variant: int):
-    """The synthetic Wikipedia the crawl-synthetic workload serves for one variant."""
+def benchmark_gen():
+    """The benchmark's graph and page generator, ``benchmark/gen.py``."""
     if str(BENCHMARK) not in sys.path:
         sys.path.insert(0, str(BENCHMARK))
     import gen
 
-    return gen.SyntheticWiki(random.Random(f"crawl-{variant}"))
+    return gen
+
+
+def synthetic_wiki(variant: int):
+    """The synthetic Wikipedia the crawl-synthetic workload serves for one variant."""
+    return benchmark_gen().SyntheticWiki(random.Random(f"crawl-{variant}"))
 
 
 def synthetic_pages(variant: int) -> list[str]:

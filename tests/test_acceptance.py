@@ -13,10 +13,9 @@ import pytest
 
 from wikiqe.centrality import PageRankParams, build_table, closeness, degree, pagerank
 from wikiqe.cli import main
+from wikiqe.config import DEFAULT_ENGINES, SIX_SOURCE_WEIGHTS
 from wikiqe.expand import borda_combine, expand_query
 from wikiqe.fusion import (
-    DEFAULT_ENGINES,
-    SIX_SOURCE_WEIGHTS,
     FixtureEngineAdapter,
     engine_weight,
     serp_fixture_name,

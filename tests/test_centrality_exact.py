@@ -2,11 +2,14 @@
 plus differential checks against networkx.
 
 ``reference_closeness`` and ``reference_pagerank`` are the original
-per-node BFS and dict-based power iteration, kept verbatim but for
-closeness's sum, spelled out as the left-to-right loop the builtin ``sum``
-ran before CPython 3.12 (3.12 compensates it). The library
-kernels must return ``==`` scores (same floats, same dict order, same int
-0 for leaves) and the same PageRank ``converged``/``iterations``.
+per-node BFS and dict-based power iteration, kept verbatim but for their
+sums, spelled out as each kernel's one summation rule: closeness adds left
+to right, the loop the builtin ``sum`` ran before CPython 3.12 (3.12
+compensates it), and PageRank's dangling mass and L1 change are
+``math.fsum``, correctly rounded on every release. The library kernels
+must return ``==`` scores (same floats, same dict order, same int 0 for
+leaves) and the same PageRank ``converged``/``iterations``; the pinned
+digests check that every release gives the same bits.
 
 The references walk an adjacency mapping taken from the parent graph's
 ``outlinks`` or from the test's own dict, never from ``subgraph.targets``,
@@ -15,14 +18,15 @@ so a numbering bug in the kernels' input cannot agree with itself.
 
 import hashlib
 import random
-import sys
 from collections import deque
+from math import fsum
 
 import pytest
 
 from wikiqe.centrality import PageRankParams, build_table, closeness, pagerank
 
 from conftest import fixture_root_subgraphs, make_subgraph, random_adjacency
+from reference_links import benchmark_gen
 from test_acceptance import crawl_shaped_graph
 
 
@@ -63,7 +67,7 @@ def reference_pagerank(subgraph, adjacency, params):
     converged = False
     iterations = 0
     for iterations in range(1, params.max_iterations + 1):
-        dangling = sum(rank[u] for u in nodes if not adjacency[u])
+        dangling = fsum(rank[u] for u in nodes if not adjacency[u])
         base = (1.0 - d) / n + d * dangling / n
         nxt = {node: base for node in nodes}
         for u in nodes:
@@ -72,7 +76,7 @@ def reference_pagerank(subgraph, adjacency, params):
                 share = d * rank[u] / len(out)
                 for v in out:
                     nxt[v] += share
-        delta = sum(abs(nxt[node] - rank[node]) for node in nodes)
+        delta = fsum(abs(nxt[node] - rank[node]) for node in nodes)
         rank = nxt
         if delta < params.tolerance:
             converged = True
@@ -136,42 +140,55 @@ def test_bit_exact_on_fixture_queries():
         assert_bit_exact(sub, parent_adjacency(graph, sub), pagerank_params)
 
 
-# sha256 of every closeness score's float.hex, in node order, over the 42
-# fixture-root closures, as CPython 3.11 computes them. Closeness adds its
-# floats one way on every release, so every release must give these bits.
-FIXTURE_CLOSENESS_SHA256 = "0d083d40475a22ce440709fde8c804a63c7cb0087ef52b36e4aa9cbbfed66308"
-
-
-def test_closeness_bits_are_pinned_across_releases():
+def closeness_digest(subgraphs):
+    """sha256 of every closeness score's float.hex, in node order."""
     digest = hashlib.sha256()
-    for _, sub, _ in fixture_root_subgraphs():
+    for sub in subgraphs:
         for node, score in closeness(sub).items():
             digest.update(f"{node}\t{float(score).hex()}\n".encode("utf-8"))
-    assert digest.hexdigest() == FIXTURE_CLOSENESS_SHA256
+    return digest.hexdigest()
 
 
-# sha256 of every PageRank score's float.hex, in node order, then of its
-# iterations and converged, over the 42 fixture-root closures and the roots
-# of crawl_shaped_graph(). The builtin sum PageRank uses is compensated from
-# CPython 3.12 on, so there is one digest before 3.12 (recorded on 3.10 and
-# 3.11) and one from 3.12 on (recorded on 3.12 and 3.13).
-PAGERANK_SHA256 = (
-    "b003b60b0ebc425a39b0aaf048a50fbf25aea1c8ef0b381d02d76b0da949ec65" if sys.version_info >= (3, 12)
-    else "034321c93c143ac72535dde8299333696d96ddbca59992f85110d1dd34fee12c"
-)
-
-
-def test_pagerank_bits_are_pinned_per_release():
-    graph = crawl_shaped_graph()
-    closures = [*fixture_root_subgraphs(),
-                *((graph, graph.isolate_subgraph(root), PageRankParams()) for root in graph.roots)]
+def pagerank_digest(closures):
+    """sha256 of every PageRank score's float.hex, in node order, then of its
+    iterations and converged, over ``(subgraph, params)`` pairs."""
     digest = hashlib.sha256()
-    for _, sub, params in closures:
+    for sub, params in closures:
         result = pagerank(sub, params)
         for node, score in result.scores.items():
             digest.update(f"{node}\t{score.hex()}\n".encode("utf-8"))
         digest.update(f"{result.iterations}\t{result.converged}\n".encode("utf-8"))
-    assert digest.hexdigest() == PAGERANK_SHA256
+    return digest.hexdigest()
+
+
+# Both kernels add their floats one way on every release, so every release
+# must give these bits. Closeness over the 42 fixture-root closures:
+FIXTURE_CLOSENESS_SHA256 = "0d083d40475a22ce440709fde8c804a63c7cb0087ef52b36e4aa9cbbfed66308"
+# PageRank over the 42 fixture-root closures and the roots of crawl_shaped_graph():
+PAGERANK_SHA256 = "b003b60b0ebc425a39b0aaf048a50fbf25aea1c8ef0b381d02d76b0da949ec65"
+# Both over the best subgraphs of the qe-synthetic benchmark graphs of
+# variants 0-3 at 2,500, 5,000 and 10,000 nodes, built as the benchmark does:
+BENCHMARK_CLOSENESS_SHA256 = "5e0d2dfd57119fd255b0e6151d0910acd324fea6776cd258579ff84831167a8d"
+BENCHMARK_PAGERANK_SHA256 = "27848d69f80cff97737c3735275fa002c02f8fe3741706a7deedbe86ed3b9500"
+
+
+def test_closeness_bits_are_pinned_across_releases():
+    assert closeness_digest(sub for _, sub, _ in fixture_root_subgraphs()) == FIXTURE_CLOSENESS_SHA256
+
+
+def test_pagerank_bits_are_pinned_across_releases():
+    graph = crawl_shaped_graph()
+    closures = [*((sub, params) for _, sub, params in fixture_root_subgraphs()),
+                *((graph.isolate_subgraph(root), PageRankParams()) for root in graph.roots)]
+    assert pagerank_digest(closures) == PAGERANK_SHA256
+
+
+def test_benchmark_graph_bits_are_pinned_across_releases():
+    gen = benchmark_gen()
+    best = [gen.concept_graph(random.Random(f"qe-{variant}-{size}"), size)[0].select_best_concept()
+            for variant in range(4) for size in (2_500, 5_000, 10_000)]
+    assert closeness_digest(best) == BENCHMARK_CLOSENESS_SHA256
+    assert pagerank_digest((sub, PageRankParams()) for sub in best) == BENCHMARK_PAGERANK_SHA256
 
 
 def test_bit_exact_on_random_cyclic_and_disconnected_graphs():

@@ -13,8 +13,8 @@ import pytest
 
 from conftest import hashed_name
 from wikiqe.cli import _source, main
-from wikiqe.config import ConfigError, RunConfig
-from wikiqe.fusion import SIX_SOURCE_WEIGHTS, FixtureEngineAdapter, KnowledgeWeights
+from wikiqe.config import SIX_SOURCE_WEIGHTS, ConfigError, KnowledgeWeights, RunConfig
+from wikiqe.fusion import FixtureEngineAdapter
 from wikiqe.ingest import PageCache, PageRecord, WikiClient, WikiSource, search_key
 from wikiqe.text import benchmark_queries, query_slug
 

@@ -7,16 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from wikiqe.config import DEFAULT_ENGINES, SIX_SOURCE_WEIGHTS, EngineConfig, KnowledgeWeights
 from wikiqe.expand import SynonymDictionary, rewrite, source_term_lists, thesaurus_expand
 from wikiqe.fusion import (
-    DEFAULT_ENGINES,
-    SIX_SOURCE_WEIGHTS,
-    EngineConfig,
     EngineError,
     FixtureEngineAdapter,
     FusionError,
     GOLD_M,
-    KnowledgeWeights,
     ResultList,
     engine_weight,
     gold_variants,

@@ -168,14 +168,6 @@ def test_every_public_name_is_its_defining_modules_binding():
         assert getattr(wikiqe, name) is getattr(importlib.import_module(f"wikiqe.{module}"), name)
 
 
-def test_fusion_keeps_the_configuration_types_of_config():
-    from wikiqe import config, fusion
-
-    for name in ("EngineConfig", "KnowledgeWeights", "DEFAULT_ENGINES", "SIX_SOURCE_WEIGHTS"):
-        assert name in fusion.__all__
-        assert getattr(fusion, name) is getattr(config, name)
-
-
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="module 'wikiqe' has no attribute 'no_such_name'"):
         wikiqe.no_such_name

@@ -169,6 +169,10 @@ def test_cache_malformed_search_raises_ingest_error_naming_file(tmp_path):
                  id="outlinks-string"),
     pytest.param("pages", "fetched_at", "now", 'fetched_at must be a number, not "now"',
                  id="fetched-at-string"),
+    pytest.param("pages", "fetched_at", True, "fetched_at must be a number, not true",
+                 id="fetched-at-true"),
+    pytest.param("pages", "fetched_at", False, "fetched_at must be a number, not false",
+                 id="fetched-at-false"),
     pytest.param("pages", "source", 3, "source must be a string, not 3", id="source-number"),
     pytest.param("pages", "missing", 0, "missing must be true or false, not 0", id="missing-number"),
     pytest.param("pages", "disambiguation", None, "disambiguation must be true or false, not null",
@@ -604,6 +608,22 @@ def test_client_gives_up_after_bounded_retries():
                         sleep=clock.sleep, request_interval=0)
     with pytest.raises(FetchError, match="3 attempts"):
         client.page("x")
+
+
+def test_client_that_gives_up_names_the_page_or_search():
+    def always_down(params):
+        raise OSError("reset by peer")
+
+    clock = FakeClock()
+    client = WikiClient(transport=always_down, max_retries=3, clock=clock,
+                        sleep=clock.sleep, request_interval=0)
+    with pytest.raises(FetchError) as caught:
+        client.page("alcoholism")
+    assert str(caught.value) == "request for page 'alcoholism' failed after 3 attempts: reset by peer"
+    with pytest.raises(FetchError) as caught:
+        client.search("adolescent alcoholism", 5)
+    assert str(caught.value) == ("request for search 'adolescent alcoholism' "
+                                 "failed after 3 attempts: reset by peer")
 
 
 def test_request_pacing_with_mock_clock():

@@ -6,7 +6,9 @@ Folded over ``(x, n)`` runs from int 0, as ``_run_sum`` does here, it must
 return the left-to-right float sum of the terms ``x`` repeated ``n`` times
 per run, one rounded add after another: the same float, or int 0 when
 there are no terms. That is what the builtin ``sum`` gives before CPython
-3.12, on every interpreter.
+3.12, on every interpreter. The runs are the ones closeness makes: every
+term ``x`` is a finite float ``>= 0`` and the sum stays finite, so no
+negative term or run is checked here.
 """
 
 import operator
@@ -53,17 +55,14 @@ ODD = 1.0 + 3 * ulp(1.0)  # its last mantissa bit is odd
 CASES = {
     "empty": [],
     "zero-counts": [(0.5, 0), (1.0 / 3, 0)],
-    "zero-terms": [(0.0, 3), (-0.0, 2)],
+    "zero-terms": [(0.0, 3)],
     "closeness-shaped": [(1.0, 7), (0.5, 40), (1.0 / 3, 900), (0.25, 6000), (0.2, 100)],
     "long-third": [(1.0 / 3, 100_000)],
     "tie-from-odd": [(ODD, 1), (1.5 * ulp(1.0), 5000)],
     "tie-at-half-ulp": [(ODD, 1), (0.5 * ulp(1.0), 9)],
     "below-half-ulp": [(1e6, 1), (0.49 * ulp(1e6), 100_000), (1.0 / 7, 3)],
     "absorbed-then-large": [(2.0 ** 60, 1), (1.0, 50_000), (2.0 ** 9, 50)],
-    "mixed-signs": [(1.0, 1), (1.0 / 3, 1000), (-1.0 / 7, 3000), (1.0 / 11, 5000), (-0.1, 20_000)],
-    "toward-zero": [(1000.0, 1), (-1.0 / 3, 2990), (-1.0 / 3, 20)],
-    "sign-change": [(1.0, 1), (-0.3, 10), (0.7, 4)],
-    "tiny": [(5e-324, 1000), (1e-310, 300), (-3e-320, 100)],
+    "tiny": [(5e-324, 1000), (1e-310, 300)],
 }
 
 
@@ -94,7 +93,6 @@ def test_closeness_adds_left_to_right_where_a_compensated_sum_rounds_otherwise()
 
 def _run_lists(st, max_count):
     counts = st.one_of(st.integers(0, 3), st.integers(0, 300), st.integers(0, max_count))
-    sign = st.sampled_from([1.0, -1.0])
 
     @st.composite
     def run_lists(draw):
@@ -110,8 +108,8 @@ def _run_lists(st, max_count):
             elif kind == "below-half-ulp":
                 x = draw(st.floats(0.01, 0.4999)) * ulp(acc)
             else:
-                x = draw(st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
-            runs.append((draw(sign) * x, draw(counts)))
+                x = draw(st.floats(0.0, 1e6))
+            runs.append((x, draw(counts)))
         return runs
 
     return run_lists()
