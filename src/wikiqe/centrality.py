@@ -42,19 +42,29 @@ one exact multiply-add per binade, with single adds at binade crossings
 and at round-half-even ties. A node with thousands of nodes in reach
 costs a few dozen float operations instead of thousands of adds.
 
-PageRank scatters each iteration edge by edge: every node starts at
-``base``, and each source with outlinks adds its share to its targets by
-``+=``, in node order and then in the order its edges list them. The
-dangling mass and the L1 change are ``math.fsum``, the correctly rounded
-sum (Shewchuk 1997), so PageRank too gives the same bits on every
+PageRank iterates only the kept nodes: the nodes with outlinks and the
+leaves whose in-link count, repeated links counted, is not 1. A leaf with
+exactly one in-link, a tail, holds ``base + share`` of its parent in every
+iteration, one rounded add, so all the tails of one parent are one value
+and a count (the dangling-node reduction of Langville & Meyer 2006 and
+Ipsen & Selee 2007, kept bit for bit). Every kept node starts at
+``base``, and each source with outlinks adds its share to its kept
+targets by ``+=``, in node order and then in the order its edges list
+them: each kept node receives the adds it would if every node were
+iterated, in the same order. The dangling mass and the L1 change are
+``math.fsum``, the correctly rounded sum (Shewchuk 1997), over the kept
+terms and each tail group's value or change times its count, written as
+exact products (``_times``): the same sums of the same multisets as if
+every tail were listed, so PageRank too gives the same bits on every
 interpreter.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from math import frexp, fsum, ldexp
-from operator import sub
+from operator import mul, sub
 
 from ._value import FrozenValue, Value
 from .graph import ConceptSubgraph
@@ -204,15 +214,39 @@ def _add_run(acc, x: float, n: int):
     return acc
 
 
+# 2**27 + 1, Veltkamp's constant: it splits a float into two halves of at
+# most 26 significant bits each.
+_SPLIT = 134217729.0
+
+
+def _times(values: list[float], counts: list[int]):
+    """Floats whose exact sum is that of each ``values[g]`` taken
+    ``counts[g]`` times, for values ``0 <= v <= 1`` (ranks and their
+    changes) and counts ``0 <= c < 2**27``.
+
+    Each value splits exactly into ``high + low``, each of at most 26
+    significant bits, so ``high * c`` and ``low * c`` are exact products.
+    ``fsum`` over them, with any other terms, is the correctly rounded sum
+    of the whole multiset.
+    """
+    big = [v * _SPLIT for v in values]
+    high = list(map(sub, big, map(sub, big, values)))
+    return chain(map(mul, high, counts), map(mul, map(sub, values, high), counts))
+
+
 def pagerank(subgraph: ConceptSubgraph, params: PageRankParams | None = None) -> PageRankResult:
     """Power iteration with damping and uniform dangling redistribution.
 
     Starts from the uniform vector and stops once the L1 change drops
     below ``params.tolerance``; if ``max_iterations`` passes first, the
     last iterate is returned with ``converged=False``. Scores sum to 1.
-    Every sum runs in node order, so results do not depend on hashing:
-    each source adds its share to its targets by ``+=`` in the order the
-    edges list them, repeated links and self-links included.
+    Every sum runs in node order or is exact, so results do not depend on
+    hashing: each source adds its share to its targets by ``+=`` in the
+    order the edges list them, repeated links and self-links included.
+    Only the kept nodes are iterated. A tail, a leaf with exactly one
+    in-link, scores ``base + share`` of its parent in every iteration, so
+    each parent's tails are one value and a count; the dangling mass and
+    the L1 change count each such value as often as it has tails, exactly.
     """
     params = params or PageRankParams()
     nodes = subgraph.nodes
@@ -221,24 +255,61 @@ def pagerank(subgraph: ConceptSubgraph, params: PageRankParams | None = None) ->
         raise ValueError("pagerank needs a non-empty subgraph")
     d = params.damping
     targets = subgraph.targets
-    dangling = [i for i, out in enumerate(targets) if not out]
-    linked = [(i, out) for i, out in enumerate(targets) if out]
-    rank = [1.0 / n] * n
+    inlinks = [0] * n
+    for v in chain.from_iterable(targets):
+        inlinks[v] += 1
+    # slot[i]: node i's place in rank, or -1 for a tail until its parent's
+    # row gives it the place of its group's value, after the ranks.
+    slot = []
+    inner = []  # (place, outlinks) of each node with outlinks
+    sinks = []  # places of the kept leaves
+    kept = 0
+    for out, count in zip(targets, inlinks):
+        if not out and count == 1:
+            slot.append(-1)
+            continue
+        if out:
+            inner.append((kept, out))
+        else:
+            sinks.append(kept)
+        slot.append(kept)
+        kept += 1
+    rows = []  # (place, kept targets' places, out-degree, tails) per node with outlinks
+    counts = []  # tails per group, in node order of the parents
+    for k, out in inner:
+        row = [t for t in map(slot.__getitem__, out) if t >= 0]
+        c = len(out) - len(row)
+        if c:
+            group = kept + len(counts)
+            for v in out:
+                if slot[v] < 0:
+                    slot[v] = group
+            counts.append(c)
+        rows.append((k, row, len(out), c))
+    rank = [1.0 / n] * kept
+    tails = [1.0 / n] * len(counts)
     converged = False
     iterations = 0
     for iterations in range(1, params.max_iterations + 1):
-        base = (1.0 - d) / n + d * fsum(map(rank.__getitem__, dangling)) / n
-        nxt = [base] * n
-        for i, out in linked:
-            share = d * rank[i] / len(out)
-            for v in out:
-                nxt[v] += share
-        delta = fsum(map(abs, map(sub, nxt, rank)))
-        rank = nxt
+        dangling = fsum(chain(map(rank.__getitem__, sinks), _times(tails, counts)))
+        base = (1.0 - d) / n + d * dangling / n
+        nxt = [base] * kept
+        new = []
+        for k, row, size, c in rows:
+            share = d * rank[k] / size
+            for t in row:
+                nxt[t] += share
+            if c:
+                new.append(base + share)
+        change = list(map(abs, map(sub, new, tails)))
+        delta = fsum(chain(map(abs, map(sub, nxt, rank)), _times(change, counts)))
+        rank, tails = nxt, new
         if delta < params.tolerance:
             converged = True
             break
-    return PageRankResult(scores=dict(zip(nodes, rank)), converged=converged, iterations=iterations)
+    values = rank + tails
+    scores = dict(zip(nodes, map(values.__getitem__, slot)))
+    return PageRankResult(scores=scores, converged=converged, iterations=iterations)
 
 
 def ranked_prefix(scores: dict[str, float], want: int) -> list[str]:

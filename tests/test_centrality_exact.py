@@ -19,11 +19,12 @@ so a numbering bug in the kernels' input cannot agree with itself.
 import hashlib
 import random
 from collections import deque
+from itertools import chain, repeat
 from math import fsum
 
 import pytest
 
-from wikiqe.centrality import PageRankParams, build_table, closeness, pagerank
+from wikiqe.centrality import PageRankParams, _times, build_table, closeness, pagerank
 
 from conftest import fixture_root_subgraphs, make_subgraph, random_adjacency
 from reference_links import benchmark_gen
@@ -170,6 +171,9 @@ PAGERANK_SHA256 = "b003b60b0ebc425a39b0aaf048a50fbf25aea1c8ef0b381d02d76b0da949e
 # variants 0-3 at 2,500, 5,000 and 10,000 nodes, built as the benchmark does:
 BENCHMARK_CLOSENESS_SHA256 = "5e0d2dfd57119fd255b0e6151d0910acd324fea6776cd258579ff84831167a8d"
 BENCHMARK_PAGERANK_SHA256 = "27848d69f80cff97737c3735275fa002c02f8fe3741706a7deedbe86ed3b9500"
+# PageRank over the best subgraph of the variant-1 qe-synthetic graph at
+# 50,000 nodes (39,128 nodes, 38,005 of them leaves with one in-link):
+BENCHMARK_50K_PAGERANK_SHA256 = "f4ba4bce326fa6687bc149eb669550beb8575291777906b0d6f46759cd17afdf"
 
 
 def test_closeness_bits_are_pinned_across_releases():
@@ -189,6 +193,13 @@ def test_benchmark_graph_bits_are_pinned_across_releases():
             for variant in range(4) for size in (2_500, 5_000, 10_000)]
     assert closeness_digest(best) == BENCHMARK_CLOSENESS_SHA256
     assert pagerank_digest((sub, PageRankParams()) for sub in best) == BENCHMARK_PAGERANK_SHA256
+
+
+def test_benchmark_50k_pagerank_bits_are_pinned_across_releases():
+    gen = benchmark_gen()
+    best = gen.concept_graph(random.Random("qe-1-50000"), 50_000)[0].select_best_concept()
+    assert len(best.nodes) == 39_128
+    assert pagerank_digest([(best, PageRankParams())]) == BENCHMARK_50K_PAGERANK_SHA256
 
 
 def test_bit_exact_on_random_cyclic_and_disconnected_graphs():
@@ -215,6 +226,64 @@ def test_bit_exact_on_random_cyclic_and_disconnected_graphs():
     def check(adjacency, tolerance, max_iterations):
         sub = make_subgraph(adjacency)
         assert_bit_exact(sub, adjacency, PageRankParams(tolerance=tolerance, max_iterations=max_iterations))
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# PageRank's tails: leaves with one in-link, one value and a count per parent
+# ---------------------------------------------------------------------------
+
+def test_star_makes_one_tail_group_with_a_large_count():
+    adjacency = {"hub": [f"leaf {i}" for i in range(5_000)]}
+    assert_bit_exact(make_subgraph(adjacency), with_sinks(adjacency))
+
+
+def test_leaf_listed_twice_by_one_parent_is_no_tail():
+    # "twice" has two in-links, both from "p", and is iterated; "once" is
+    # p's one tail.
+    adjacency = {"root": ["p", "q"], "p": ["twice", "once", "twice"], "q": ["p"]}
+    sub = make_subgraph(adjacency)
+    assert sub.targets[sub.nodes.index("p")].count(sub.nodes.index("twice")) == 2
+    assert_bit_exact(sub, with_sinks(adjacency))
+
+
+def test_leaf_linked_from_two_parents_is_no_tail():
+    adjacency = {"root": ["a", "b"], "a": ["shared", "x", "y"], "b": ["z", "shared"]}
+    assert_bit_exact(make_subgraph(adjacency), with_sinks(adjacency))
+
+
+@pytest.mark.parametrize("adjacency", [{"solo": []}, {"loop": ["loop"]}])
+def test_single_node_and_only_self_link(adjacency):
+    assert_bit_exact(make_subgraph(adjacency), adjacency)
+
+
+def test_cycle_has_no_tails():
+    adjacency = {"a": ["b"], "b": ["c"], "c": ["d", "a"], "d": ["a"]}
+    for params in (PageRankParams(), PageRankParams(tolerance=1e-15, max_iterations=7)):
+        assert_bit_exact(make_subgraph(adjacency), adjacency, params)
+
+
+def test_times_sums_a_value_count_multiset_exactly():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # [0, 1], with 0, the subnormals and the smallest normal drawn often.
+    values = st.one_of(
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 2.0 ** -1022),
+        st.sampled_from([0.0, 5e-324, 2.0 ** -1022, 1.0]),
+    )
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(
+        st.lists(values, max_size=8),
+        st.lists(st.tuples(values, st.integers(0, 2 ** 20)), max_size=4),
+    )
+    def check(kept, groups):
+        tails = [value for value, _ in groups]
+        counts = [count for _, count in groups]
+        expected = fsum(chain(kept, chain.from_iterable(map(repeat, tails, counts))))
+        assert fsum(chain(kept, _times(tails, counts))).hex() == expected.hex()
 
     check()
 
