@@ -171,8 +171,9 @@ PAGERANK_SHA256 = "b003b60b0ebc425a39b0aaf048a50fbf25aea1c8ef0b381d02d76b0da949e
 # variants 0-3 at 2,500, 5,000 and 10,000 nodes, built as the benchmark does:
 BENCHMARK_CLOSENESS_SHA256 = "5e0d2dfd57119fd255b0e6151d0910acd324fea6776cd258579ff84831167a8d"
 BENCHMARK_PAGERANK_SHA256 = "27848d69f80cff97737c3735275fa002c02f8fe3741706a7deedbe86ed3b9500"
-# PageRank over the best subgraph of the variant-1 qe-synthetic graph at
-# 50,000 nodes (39,128 nodes, 38,005 of them leaves with one in-link):
+# Both over the best subgraph of the variant-1 qe-synthetic graph at 50,000
+# nodes (39,128 nodes, 38,005 of them leaves with one in-link):
+BENCHMARK_50K_CLOSENESS_SHA256 = "5c9be905ff10dc7c7a698bbcc5be74f86379e2e23feaaa41b8fc66213beecf8a"
 BENCHMARK_50K_PAGERANK_SHA256 = "f4ba4bce326fa6687bc149eb669550beb8575291777906b0d6f46759cd17afdf"
 
 
@@ -195,10 +196,11 @@ def test_benchmark_graph_bits_are_pinned_across_releases():
     assert pagerank_digest((sub, PageRankParams()) for sub in best) == BENCHMARK_PAGERANK_SHA256
 
 
-def test_benchmark_50k_pagerank_bits_are_pinned_across_releases():
+def test_benchmark_50k_bits_are_pinned_across_releases():
     gen = benchmark_gen()
     best = gen.concept_graph(random.Random("qe-1-50000"), 50_000)[0].select_best_concept()
     assert len(best.nodes) == 39_128
+    assert closeness_digest([best]) == BENCHMARK_50K_CLOSENESS_SHA256
     assert pagerank_digest([(best, PageRankParams())]) == BENCHMARK_50K_PAGERANK_SHA256
 
 
