@@ -31,16 +31,11 @@ reach only themselves and score int 0.
 A score is the float sum a BFS from its node produces: 1/d added once per
 node at distance d, in increasing d, one rounded add after another from
 int 0 -- the bits the builtin ``sum`` gives before CPython 3.12, on every
-interpreter. As the sweep finds level d, one ``_add_run`` call adds its
-count_d terms 1/d to each growing node's running sum: exactly the float
-of those adds, without adding term by term. The sum is never negative
-and every term is positive, so a run only ever climbs. A run none of
-whose adds rounds is a single exact add. Otherwise, inside one binade
-(the floats between two powers of two are evenly spaced) an add of the
-same term moves the sum by the same rounded step, so a run of adds is
-one exact multiply-add per binade, with single adds at binade crossings
-and at round-half-even ties. A node with thousands of nodes in reach
-costs a few dozen float operations instead of thousands of adds.
+interpreter. ``_add_run`` adds a level's count_d terms 1/d to a node's
+sum in a few float operations: one exact check per run, then per turn one
+binade's steady adds as one exact ``k * step`` (floats are evenly spaced
+between two powers of two) and the add that crosses its top; a
+round-half-even tie or a term larger than the sum takes one add a turn.
 
 PageRank iterates only the kept nodes: the nodes with outlinks and the
 leaves whose in-link count, repeated links counted, is not 1. A leaf with
@@ -159,6 +154,7 @@ def closeness(subgraph: ConceptSubgraph) -> dict[str, float]:
     d = 1
     while active:
         d += 1
+        x = 1.0 / d
         grown = []
         for j in active:
             bits = reach[j]
@@ -169,7 +165,7 @@ def closeness(subgraph: ConceptSubgraph) -> dict[str, float]:
                 grown.append((j, bits, size))
         # Commit after the sweep so every node reads the previous level.
         for j, bits, size in grown:
-            sums[j] = _add_run(sums[j], 1.0 / d, size - seen[j])
+            sums[j] = _add_run(sums[j], x, size - seen[j])
             reach[j] = bits
             seen[j] = size
         active = [j for j, _, _ in grown]
@@ -184,33 +180,37 @@ def closeness(subgraph: ConceptSubgraph) -> dict[str, float]:
 
 def _add_run(acc, x: float, n: int):
     """``acc`` after ``n`` sequential ``acc += x``, float for float, for
-    ``acc >= 0`` (int 0 before level 1), ``x >= 0`` and a finite sum."""
+    ``acc >= 0`` (int 0 before level 1), ``x >= 0`` and a finite sum: one
+    exact check per run, then one turn per binade that the run crosses."""
+    if not n:
+        return acc
+    # On the finest grid of acc and x, every partial sum is an integer: if
+    # the last fits in 53 bits, no add rounds and the run is one exact sum.
+    a, p = acc.as_integer_ratio()
+    b, q = x.as_integer_ratio()
+    if p < q:
+        a, p = a * (q // p), q
+    else:
+        b *= p // q
+    last = a + n * b
+    if last <= 1 << 53:
+        return last / p
     while n:
-        # On the finest grid of acc and x, every partial sum is an integer
-        # from the first to the last: if the last fits in 53 bits, no add
-        # rounds, and the run is one exact sum.
-        a, p = acc.as_integer_ratio()
-        b, q = x.as_integer_ratio()
-        if p < q:
-            a, p = a * (q // p), q
-        else:
-            b *= p // q
-        last = a + n * b
-        if last <= 1 << 53:
-            return last / p
         t = acc + x
         if t == acc:  # x no longer moves acc, and never will
             return t
         # Unless x is a tie at the spacing of acc's binade [2**(e-1), 2**e),
-        # which the second add shows, every add that lands below the
-        # binade's top repeats the first step. x <= acc keeps it exact.
+        # which the second add shows, or x > acc, the k adds that land below
+        # the top repeat the first step exactly; the next add crosses it.
         step = t - acc
-        k = 1
+        k = 0
         if n > 1 and x <= acc and t + x - t == step:
             m, e = frexp(acc)  # acc == m * 2**e, 0.5 <= m < 1
-            k = max(1, min(n, int(-(-ldexp(1.0 - m, e) // step)) - 1))
-        acc = acc + k * step if k > 1 else t  # k * step is exact
-        n -= k
+            k = int(-(-ldexp(1.0 - m, e) // step)) - 1
+            if n <= k:
+                return acc + n * step
+        acc = acc + k * step + x if k else t
+        n -= k + 1
     return acc
 
 
