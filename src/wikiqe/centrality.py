@@ -63,6 +63,7 @@ from operator import mul, sub
 
 from ._value import FrozenValue, Value
 from .graph import ConceptSubgraph
+from .text import _csv_text
 
 __all__ = [
     "PageRankParams",
@@ -111,22 +112,11 @@ class CentralityTable(Value):
         self.pagerank_converged = pagerank_converged
 
     def to_csv(self) -> str:
-        """Dump as ``title,degree,closeness,pagerank`` rows (12 significant
-        digits for the real-valued scores)."""
-        import csv  # here, not at the top: no CLI command dumps a table
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["title", "degree", "closeness", "pagerank"])
-        for title in self.degree:
-            writer.writerow([
-                title,
-                self.degree[title],
-                f"{self.closeness[title]:.12g}",
-                f"{self.pagerank[title]:.12g}",
-            ])
-        return buf.getvalue()
+        """Dump as ``title,degree,closeness,pagerank`` rows."""
+        return _csv_text(["title", "degree", "closeness", "pagerank"], (
+            [title, self.degree[title], self.closeness[title], self.pagerank[title]]
+            for title in self.degree
+        ))
 
 
 def degree(subgraph: ConceptSubgraph) -> dict[str, int]:

@@ -18,24 +18,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from .text import _read_text, benchmark_queries, default_stopwords, load_stopwords, query_slug
+from .text import (_csv_text, _read_text, _ReportedError, benchmark_queries, default_stopwords,
+                   load_stopwords, query_slug)
 
 # Each command imports the modules its flow runs where it calls them, so a
 # run loads only those: ``eval`` never loads the crawl, graph or centrality
 # code, ``expand`` never loads fusion or metrics. A name imported in a
 # function body is read from its module at call time, which is where
 # tracing wrappers sit.
-
-
-def _errors() -> tuple[type[Exception], ...]:
-    """What ``main`` reports as ``error: ...`` with exit code 1. Python
-    evaluates an except clause only when an exception propagates, so a
-    command that succeeds never imports the modules defining these."""
-    from .fusion import FusionError
-    from .graph import GraphError
-    from .ingest import IngestError
-
-    return (IngestError, GraphError, FusionError, OSError, ValueError)
 
 
 def _configure(args) -> RunConfig:
@@ -211,8 +201,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    import csv
-    import io
     from time import perf_counter
 
     from .ingest import IngestError, search_key
@@ -226,9 +214,7 @@ def cmd_bench(args) -> int:
     source = _source(config)
 
     graphs = {}  # by search key; a failed crawl is not kept, so each query reports it
-    report = io.StringIO()
-    writer = csv.writer(report, lineterminator="\n")
-    writer.writerow(["query", "qe_seconds", "qe_terms"])
+    rows = []
     for query in queries:
         try:
             key = search_key(query)
@@ -240,8 +226,8 @@ def cmd_bench(args) -> int:
         start = perf_counter()
         _, result = _expand(config, graphs[key], query, args.m, stopwords)
         seconds = perf_counter() - start
-        writer.writerow([query, f"{seconds:.6f}", " | ".join(result.qe_terms)])
-    _write_report(args.out, report.getvalue())
+        rows.append([query, f"{seconds:.6f}", " | ".join(result.qe_terms)])
+    _write_report(args.out, _csv_text(["query", "qe_seconds", "qe_terms"], rows))
     return 0
 
 
@@ -305,7 +291,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _errors() as exc:
+    except (_ReportedError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

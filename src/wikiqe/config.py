@@ -202,7 +202,7 @@ class RunConfig(Value):
     def load(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
         try:
-            return cls.from_dict(json.loads(path.read_text(encoding="utf-8")), base=path.parent)
+            return cls.from_dict(json.loads(path.read_text(encoding="utf-8-sig")), base=path.parent)
         except (ValueError, RecursionError) as exc:  # bad or too deep JSON, bad UTF-8, ConfigError
             raise ConfigError(f"{path}: {exc}") from None
         except FileNotFoundError as exc:  # the config file, or a path it names

@@ -14,8 +14,6 @@ entire runs are reproducible offline.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import urllib.parse
 from pathlib import Path
@@ -30,7 +28,7 @@ from .expand import (
     source_term_lists,
     thesaurus_expand,
 )
-from .text import _sha256_hex
+from .text import _csv_text, _ReportedError, _sha256_hex
 
 __all__ = [
     "FusionError",
@@ -49,7 +47,7 @@ __all__ = [
 ]
 
 
-class FusionError(Exception):
+class FusionError(_ReportedError):
     """No usable result lists could be collected."""
 
 
@@ -117,12 +115,9 @@ class FusedList(Value):
 
     def to_csv(self) -> str:
         """``rank,url,score`` rows; a URL holding a comma or quote is quoted."""
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["rank", "url", "score"])
-        for rank, (url, score) in enumerate(self.entries, start=1):
-            writer.writerow([rank, url, f"{score:.12g}"])
-        return out.getvalue()
+        return _csv_text(["rank", "url", "score"], (
+            [rank, url, score] for rank, (url, score) in enumerate(self.entries, start=1)
+        ))
 
 
 def engine_weight(w_source: float, se_conf: int) -> float:
@@ -181,7 +176,7 @@ class FixtureEngineAdapter:
     def search(self, engine_id: str, query: str, limit: int) -> ResultList:
         path = self.fixture_dir / serp_fixture_name(engine_id, query)
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload = json.loads(path.read_text(encoding="utf-8-sig"))
             urls = [r["url"] for r in payload["results"][:limit]]
             return ResultList.from_raw(urls)
         except FileNotFoundError as exc:

@@ -14,6 +14,7 @@ import urllib.parse
 from operator import attrgetter
 
 from ._value import Value
+from .text import _ReportedError
 
 __all__ = [
     "GraphError",
@@ -28,7 +29,7 @@ __all__ = [
 _FORBIDDEN = frozenset("\t|\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
-class GraphError(Exception):
+class GraphError(_ReportedError):
     """Raised for malformed graph operations (bad hop, unknown root, ...)."""
 
 

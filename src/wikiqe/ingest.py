@@ -34,7 +34,7 @@ from pathlib import Path
 
 from ._value import FrozenValue, Value, as_dict
 from .graph import GraphError, OntologyGraph, normalize_title
-from .text import _sha256_hex, default_stopwords, query_terms
+from .text import _ReportedError, _sha256_hex, default_stopwords, query_terms
 
 __all__ = [
     "IngestError",
@@ -60,7 +60,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class IngestError(Exception):
+class IngestError(_ReportedError):
     """Base error for ingestion failures."""
 
 

@@ -13,7 +13,7 @@ import math
 from pathlib import Path
 
 from ._value import Value
-from .text import _read_text
+from .text import _csv_text, _read_text
 
 __all__ = [
     "PRECISION_CUTOFFS",
@@ -179,14 +179,12 @@ class JudgmentSet:
 
 def csv_table(reports: list[EvalReport]) -> str:
     """One ``query,method,metric,cutoff,value`` CSV of the reports, in order."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["query", "method", "metric", "cutoff", "value"])
-    for report in reports:
-        for query in report.queries():
-            for (metric, cutoff), value in sorted(report.values[query].items()):
-                writer.writerow([query, report.method, metric, cutoff, f"{value:.12g}"])
-    return buf.getvalue()
+    return _csv_text(["query", "method", "metric", "cutoff", "value"], (
+        [query, report.method, metric, cutoff, value]
+        for report in reports
+        for query in report.queries()
+        for (metric, cutoff), value in sorted(report.values[query].items())
+    ))
 
 
 class EvalReport(Value):

@@ -1,5 +1,7 @@
-"""Query tokenization, stopword handling, the benchmark queries, and the
-text-file reader and file-name hash shared across the pipeline."""
+"""Query tokenization, stopword handling, the benchmark queries, and what
+the pipeline's modules share: the text-file reader, the file-name hash,
+the CSV writer (``_csv_text``) behind every CSV the package writes, and the
+base (``_ReportedError``) of the errors the CLI reports."""
 
 from __future__ import annotations
 
@@ -62,6 +64,26 @@ def benchmark_queries() -> list[str]:
         queries.append(" and ".join(tokens))
         queries.append(" or ".join(tokens))
     return queries
+
+
+class _ReportedError(Exception):
+    """Base of the graph, ingest and fusion errors: with ``OSError`` and
+    ``ValueError``, what ``cli.main`` reports as ``error: ...``, exit code 1."""
+
+
+def _csv_text(header: list[str], rows) -> str:
+    """``header`` and ``rows`` as CSV text: ``csv`` quoting, each line ended by
+    ``\\n``, each float cell at 12 significant digits, every other cell as
+    ``csv`` writes it."""
+    import csv  # here, not at the top: a snapshot ``expand`` writes no CSV
+    import io
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{cell:.12g}" if isinstance(cell, float) else cell for cell in row])
+    return buf.getvalue()
 
 
 def _read_text(path: str | Path, newline: str | None = None) -> str:

@@ -12,10 +12,12 @@ from pathlib import Path
 import pytest
 
 from conftest import hashed_name
+from wikiqe import cli
 from wikiqe.cli import _source, main
 from wikiqe.config import SIX_SOURCE_WEIGHTS, ConfigError, KnowledgeWeights, RunConfig
-from wikiqe.fusion import FixtureEngineAdapter
-from wikiqe.ingest import PageCache, PageRecord, WikiClient, WikiSource, search_key
+from wikiqe.fusion import FixtureEngineAdapter, FusionError
+from wikiqe.graph import GraphError
+from wikiqe.ingest import IngestError, PageCache, PageRecord, WikiClient, WikiSource, search_key
 from wikiqe.text import benchmark_queries, query_slug
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -258,9 +260,8 @@ def test_gold_is_deterministic(tmp_path, capsys):
     assert files[0] == files[1]
 
 
-def fixture_config_copy(tmp_path, edit) -> str:
-    """The fixture config, changed by ``edit``, written to ``tmp_path`` with
-    its fixture-relative paths kept working from there."""
+def absolute_fixture_config() -> dict:
+    """The fixture config's data with its fixture-relative paths made absolute."""
     data = json.loads(Path(CONFIG).read_text())
     for key in ("snapshot_dir", "serp_dir", "stopwords"):
         if data["paths"].get(key):
@@ -268,6 +269,13 @@ def fixture_config_copy(tmp_path, edit) -> str:
     data["paths"]["dictionaries"] = {
         name: str(FIXTURES / rel) for name, rel in data["paths"]["dictionaries"].items()
     }
+    return data
+
+
+def fixture_config_copy(tmp_path, edit) -> str:
+    """The fixture config, changed by ``edit``, written to ``tmp_path`` with
+    its fixture-relative paths kept working from there."""
+    data = absolute_fixture_config()
     edit(data)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
@@ -804,6 +812,28 @@ def test_commands_reject_flags_their_flow_does_not_read(capsys, argv, flag):
 
 
 # ---------------------------------------------------------------------------
+# what main reports
+# ---------------------------------------------------------------------------
+
+def command_raising(error):
+    def command(args):
+        raise error
+    return command
+
+
+@pytest.mark.parametrize("error", [GraphError, IngestError, FusionError])
+def test_main_reports_each_pipeline_error(capsys, monkeypatch, error):
+    monkeypatch.setattr(cli, "cmd_queries", command_raising(error("it broke")))
+    assert run_cli(capsys, "queries") == (1, "", "error: it broke\n")
+
+
+def test_main_lets_any_other_error_through(monkeypatch):
+    monkeypatch.setattr(cli, "cmd_queries", command_raising(KeyError("it broke")))
+    with pytest.raises(KeyError, match="it broke"):
+        main(["queries"])
+
+
+# ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
 
@@ -936,12 +966,17 @@ def dictionary_argv(tmp_path, bad):
     return ["gold", QUERY, "--config", config, "--out", str(tmp_path / "out")]
 
 
+def config_argv(tmp_path, config):
+    return ["expand", QUERY, "--config", str(config), "--out", str(tmp_path / "out")]
+
+
 @pytest.mark.parametrize("argv", [
     eval_argv,
     lambda tmp_path, bad: ["bench", "--queries", str(bad), "--config", CONFIG],
     stopwords_argv,
     dictionary_argv,
-], ids=["judgments", "bench-queries", "stopwords", "dictionary"])
+    config_argv,
+], ids=["judgments", "bench-queries", "stopwords", "dictionary", "config"])
 def test_undecodable_text_input_error_names_the_file(tmp_path, capsys, argv):
     bad = tmp_path / "not-utf8.txt"
     bad.write_bytes(b"first line\n\xff\n")
@@ -962,6 +997,16 @@ def text_input_case(argv):
     return lambda tmp_path: (tmp_path / "input.txt", argv(tmp_path, tmp_path / "input.txt"))
 
 
+SERP_FILE = sorted((FIXTURES / "serp").glob("*.json"))[0]  # gold reads every one
+
+
+def serp_case(tmp_path):
+    serp_dir = tmp_path / "serp"
+    shutil.copytree(FIXTURES / "serp", serp_dir)
+    config = fixture_config_copy(tmp_path, lambda data: data["paths"].update(serp_dir=str(serp_dir)))
+    return serp_dir / SERP_FILE.name, ["gold", QUERY, "--config", config, "--out", str(tmp_path / "out")]
+
+
 # Each first line changes the output when it is read with the mark in it.
 @pytest.mark.parametrize("case, text", [
     (text_input_case(eval_argv), (FIXTURES / "judgments.csv").read_text(encoding="utf-8")),
@@ -970,7 +1015,9 @@ def text_input_case(argv):
     (text_input_case(stopwords_argv), "alcoholic\nbeverage\n"),
     (text_input_case(dictionary_argv), (FIXTURES / "dicts" / "moby.txt").read_text(encoding="utf-8")),
     (eval_urls_case, "https://u/0\nhttps://u/1\nhttps://u/2\n"),
-], ids=["judgments", "bench-queries", "stopwords", "dictionary", "eval-urls"])
+    (text_input_case(config_argv), json.dumps(absolute_fixture_config())),
+    (serp_case, SERP_FILE.read_text(encoding="utf-8")),
+], ids=["judgments", "bench-queries", "stopwords", "dictionary", "eval-urls", "config", "serp"])
 def test_text_input_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, case, text):
     path, argv = case(tmp_path)
     runs = []
